@@ -146,9 +146,8 @@ const baselineScale = 0.25
 var baselineThreads = []int{1, 24, 48}
 
 // measureBaseline runs the fixed Figure 5-7 suite at p=1/24/48 on a worker
-// pool and returns the points in deterministic order. par is each runtime's
-// span-worker count; like -j it cannot change virtual results.
-func measureBaseline(workers, par int) ([]BaselinePoint, error) {
+// pool and returns the points in deterministic order.
+func measureBaseline(workers int) ([]BaselinePoint, error) {
 	figures := []struct {
 		id     int
 		policy mempage.Policy
@@ -195,7 +194,6 @@ func measureBaseline(workers, par int) ([]BaselinePoint, error) {
 				}
 				cfg := core.DefaultConfig(topo, pt.Threads)
 				cfg.Policy = pol
-				cfg.SpanWorkers = par
 				rt := core.MustNewRuntime(cfg)
 				start := time.Now()
 				res := spec.Run(rt, baselineScale)
@@ -215,8 +213,8 @@ func measureBaseline(workers, par int) ([]BaselinePoint, error) {
 }
 
 // writeBaseline measures the fixed suite and writes the JSON baseline.
-func writeBaseline(path string, workers, par int) error {
-	pts, err := measureBaseline(workers, par)
+func writeBaseline(path string, workers int) error {
+	pts, err := measureBaseline(workers)
 	if err != nil {
 		return err
 	}
@@ -225,9 +223,9 @@ func writeBaseline(path string, workers, par int) error {
 
 // compareBaseline re-measures the fixed suite and fails on any virtual_ms
 // drift against the stored baseline.
-func compareBaseline(path string, workers, par int) error {
+func compareBaseline(path string, workers int) error {
 	return compareBaselineFile(path, "virtual-time", baselineScale, func() ([]BaselinePoint, error) {
-		return measureBaseline(workers, par)
+		return measureBaseline(workers)
 	})
 }
 
@@ -245,16 +243,16 @@ func latencyBaselineVersion(gcs []string) int {
 
 // writeLatencyBaseline measures the fixed latency sweep over the selected
 // collector modes and writes the JSON baseline.
-func writeLatencyBaseline(path string, gcs []string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, latencyBaselineVersion(gcs), 0, bench.MeasureLatencyGC(gcs, workers, par, progress))
+func writeLatencyBaseline(path string, gcs []string, workers int, progress func(string)) error {
+	return writeBaselineFile(path, latencyBaselineVersion(gcs), 0, bench.MeasureLatencyGC(gcs, workers, progress))
 }
 
 // compareLatencyBaseline re-measures the fixed latency sweep and fails on
 // any drift in the virtual fields (percentiles, attribution, checksums; for
 // concurrent rows also the assist/barrier/STW-window accounting).
-func compareLatencyBaseline(path string, gcs []string, workers, par int, progress func(string)) error {
+func compareLatencyBaseline(path string, gcs []string, workers int, progress func(string)) error {
 	return compareBaselineFile(path, "latency", 0, func() ([]bench.LatencyPoint, error) {
-		return bench.MeasureLatencyGC(gcs, workers, par, progress), nil
+		return bench.MeasureLatencyGC(gcs, workers, progress), nil
 	})
 }
 
@@ -262,16 +260,16 @@ func compareLatencyBaseline(path string, gcs []string, workers, par int, progres
 
 // writeOverloadBaseline measures the fixed overload sweep and writes the
 // JSON baseline.
-func writeOverloadBaseline(path string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, 1, 0, bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, par, progress))
+func writeOverloadBaseline(path string, workers int, progress func(string)) error {
+	return writeBaselineFile(path, 1, 0, bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, progress))
 }
 
 // compareOverloadBaseline re-measures the fixed overload sweep and fails on
 // any drift in the virtual fields (goodput, shed/retry/expiry accounting,
 // percentiles, checksums) — the graceful-degradation gate.
-func compareOverloadBaseline(path string, workers, par int, progress func(string)) error {
+func compareOverloadBaseline(path string, workers int, progress func(string)) error {
 	return compareBaselineFile(path, "overload", 0, func() ([]bench.OverloadPoint, error) {
-		return bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, par, progress), nil
+		return bench.MeasureOverload(bench.DefaultOverloadSweep(), workers, progress), nil
 	})
 }
 
@@ -279,17 +277,17 @@ func compareOverloadBaseline(path string, workers, par int, progress func(string
 
 // writeMempressureBaseline measures the fixed memory-pressure sweep and
 // writes the JSON baseline.
-func writeMempressureBaseline(path string, workers, par int, progress func(string)) error {
-	return writeBaselineFile(path, 1, 0, bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, par, progress))
+func writeMempressureBaseline(path string, workers int, progress func(string)) error {
+	return writeBaselineFile(path, 1, 0, bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, progress))
 }
 
 // compareMempressureBaseline re-measures the fixed memory-pressure sweep
 // and fails on any drift in the virtual fields (goodput and shed
 // accounting, emergency-GC/alloc-failure/overdraft counters, percentiles,
 // checksums) — the heap-exhaustion graceful-degradation gate.
-func compareMempressureBaseline(path string, workers, par int, progress func(string)) error {
+func compareMempressureBaseline(path string, workers int, progress func(string)) error {
 	return compareBaselineFile(path, "memory-pressure", 0, func() ([]bench.MempressurePoint, error) {
-		return bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, par, progress), nil
+		return bench.MeasureMempressure(bench.DefaultMempressureSweep(), workers, progress), nil
 	})
 }
 
@@ -298,9 +296,9 @@ func compareMempressureBaseline(path string, workers, par int, progress func(str
 // writeScaleBaseline measures the fixed rack-scale sweep and writes the
 // JSON baseline. The sweep's workload scale is recorded in the envelope so
 // a mismatched binary fails before measuring.
-func writeScaleBaseline(path string, workers, par int, progress func(string)) error {
+func writeScaleBaseline(path string, workers int, progress func(string)) error {
 	sw := bench.DefaultScaleSweep()
-	pts, err := bench.MeasureScale(sw, workers, par, progress)
+	pts, err := bench.MeasureScale(sw, workers, progress)
 	if err != nil {
 		return err
 	}
@@ -310,12 +308,11 @@ func writeScaleBaseline(path string, workers, par int, progress func(string)) er
 // compareScaleBaseline re-measures the fixed rack-scale sweep and fails on
 // any drift in the virtual fields (makespans, checksums, and the
 // local/same-package/remote/far traffic split) — the gate that pins the
-// far-tier model and the span-parallel engine's bit-identical contract on
-// the largest topologies.
-func compareScaleBaseline(path string, workers, par int, progress func(string)) error {
+// far-tier model on the largest topologies.
+func compareScaleBaseline(path string, workers int, progress func(string)) error {
 	sw := bench.DefaultScaleSweep()
 	return compareBaselineFile(path, "rack-scale", sw.Scale, func() ([]bench.ScalePoint, error) {
-		return bench.MeasureScale(sw, workers, par, progress)
+		return bench.MeasureScale(sw, workers, progress)
 	})
 }
 
@@ -323,8 +320,8 @@ func compareScaleBaseline(path string, workers, par int, progress func(string)) 
 
 // writeFailoverBaseline measures the fixed failover sweep and writes the
 // JSON baseline.
-func writeFailoverBaseline(path string, workers, par int, progress func(string)) error {
-	pts, err := bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, par, progress)
+func writeFailoverBaseline(path string, workers int, progress func(string)) error {
+	pts, err := bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, progress)
 	if err != nil {
 		return err
 	}
@@ -335,8 +332,8 @@ func writeFailoverBaseline(path string, workers, par int, progress func(string))
 // any drift in the virtual fields (goodput before/after the crash, lost-work
 // accounting, breaker/retry/hedge counters, percentiles, checksums) — the
 // partial-failure graceful-degradation gate.
-func compareFailoverBaseline(path string, workers, par int, progress func(string)) error {
+func compareFailoverBaseline(path string, workers int, progress func(string)) error {
 	return compareBaselineFile(path, "failover", 0, func() ([]bench.FailoverPoint, error) {
-		return bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, par, progress)
+		return bench.MeasureFailover(bench.DefaultFailoverSweep(), workers, progress)
 	})
 }

@@ -21,7 +21,6 @@
 //	gcbench -rackscale -machines rack256,rack1024 -scale 0.1
 //	gcbench -failover                 # failover sweep (replicated serving under crash faults)
 //	gcbench -failover -crash board -replicas 2,4
-//	gcbench -all -par 4               # ... with 4 span workers per simulation (bit-identical)
 //	gcbench -baseline BENCH_v3.json   # record a perf baseline (JSON)
 //	gcbench -compare BENCH_v3.json    # fail on any virtual-time drift
 //	gcbench -latency -gc concurrent   # ... under the mostly-concurrent global collector
@@ -74,7 +73,6 @@ func main() {
 		faultSeed = flag.Uint64("fault-seed", bench.OverloadFaultSeed, "with -overload: seed of the faulted top-load points; with -mempressure: seed of the squeeze points (0 disables them)")
 		verbose   = flag.Bool("v", false, "print per-run progress")
 		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
-		par       = flag.Int("par", 1, "span workers per simulation: the engine drains interaction-free idle machines concurrently between conservative windows (virtual results are identical for any value)")
 		baseline  = flag.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
 		compare   = flag.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
 	)
@@ -89,9 +87,6 @@ func main() {
 	}
 	if *workers < 1 {
 		fatal(fmt.Errorf("-j %d is not a positive worker count", *workers))
-	}
-	if *par < 1 {
-		fatal(fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par))
 	}
 	var benchNames []string
 	if *benches != "" {
@@ -265,14 +260,13 @@ func main() {
 		// Baselines (and the latency/overload/mempressure/rackscale/failover
 		// sweeps) are only comparable across PRs when they are always
 		// recorded at the one fixed configuration, so reject any other
-		// configuration flag rather than silently ignoring it. -j, -par and
-		// -v are allowed: they do not change virtual results (the engine's
-		// window scheduler is bit-identical at every -par). The sweep knobs
+		// configuration flag rather than silently ignoring it. -j and -v
+		// are allowed: they do not change virtual results. The sweep knobs
 		// are allowed only for a custom print-mode sweep, never for a
 		// baseline.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "baseline", "compare", "latency", "overload", "mempressure", "rackscale", "failover", "v", "j", "par":
+			case "baseline", "compare", "latency", "overload", "mempressure", "rackscale", "failover", "v", "j":
 			case "gc":
 				// -gc selects which fixed latency matrix is measured: the
 				// v1 (stw) or v2 (both-collector) baseline. It is already
@@ -301,45 +295,45 @@ func main() {
 		var err error
 		switch {
 		case *failover && *baseline != "":
-			err = writeFailoverBaseline(*baseline, *workers, *par, progress)
+			err = writeFailoverBaseline(*baseline, *workers, progress)
 		case *failover && *compare != "":
-			err = compareFailoverBaseline(*compare, *workers, *par, progress)
+			err = compareFailoverBaseline(*compare, *workers, progress)
 		case *failover:
 			var pts []bench.FailoverPoint
-			if pts, err = bench.MeasureFailover(foSweep, *workers, *par, progress); err == nil {
+			if pts, err = bench.MeasureFailover(foSweep, *workers, progress); err == nil {
 				fmt.Println(bench.RenderFailover(pts))
 			}
 		case *rackscale && *baseline != "":
-			err = writeScaleBaseline(*baseline, *workers, *par, progress)
+			err = writeScaleBaseline(*baseline, *workers, progress)
 		case *rackscale && *compare != "":
-			err = compareScaleBaseline(*compare, *workers, *par, progress)
+			err = compareScaleBaseline(*compare, *workers, progress)
 		case *rackscale:
 			var pts []bench.ScalePoint
-			if pts, err = bench.MeasureScale(scSweep, *workers, *par, progress); err == nil {
+			if pts, err = bench.MeasureScale(scSweep, *workers, progress); err == nil {
 				fmt.Println(bench.RenderScale(pts))
 			}
 		case *mempress && *baseline != "":
-			err = writeMempressureBaseline(*baseline, *workers, *par, progress)
+			err = writeMempressureBaseline(*baseline, *workers, progress)
 		case *mempress && *compare != "":
-			err = compareMempressureBaseline(*compare, *workers, *par, progress)
+			err = compareMempressureBaseline(*compare, *workers, progress)
 		case *mempress:
-			fmt.Println(bench.RenderMempressure(mpSweep, bench.MeasureMempressure(mpSweep, *workers, *par, progress)))
+			fmt.Println(bench.RenderMempressure(mpSweep, bench.MeasureMempressure(mpSweep, *workers, progress)))
 		case *overload && *baseline != "":
-			err = writeOverloadBaseline(*baseline, *workers, *par, progress)
+			err = writeOverloadBaseline(*baseline, *workers, progress)
 		case *overload && *compare != "":
-			err = compareOverloadBaseline(*compare, *workers, *par, progress)
+			err = compareOverloadBaseline(*compare, *workers, progress)
 		case *overload:
-			fmt.Println(bench.RenderOverload(bench.MeasureOverload(sweep, *workers, *par, progress)))
+			fmt.Println(bench.RenderOverload(bench.MeasureOverload(sweep, *workers, progress)))
 		case *latency && *baseline != "":
-			err = writeLatencyBaseline(*baseline, gcModes, *workers, *par, progress)
+			err = writeLatencyBaseline(*baseline, gcModes, *workers, progress)
 		case *latency && *compare != "":
-			err = compareLatencyBaseline(*compare, gcModes, *workers, *par, progress)
+			err = compareLatencyBaseline(*compare, gcModes, *workers, progress)
 		case *latency:
-			fmt.Println(bench.RenderLatency(bench.MeasureLatencyGC(gcModes, *workers, *par, progress)))
+			fmt.Println(bench.RenderLatency(bench.MeasureLatencyGC(gcModes, *workers, progress)))
 		case *baseline != "":
-			err = writeBaseline(*baseline, *workers, *par)
+			err = writeBaseline(*baseline, *workers)
 		default:
-			err = compareBaseline(*compare, *workers, *par)
+			err = compareBaseline(*compare, *workers)
 		}
 		if err != nil {
 			fatal(err)
@@ -347,7 +341,7 @@ func main() {
 		return
 	}
 
-	opt := bench.Options{Scale: *scale, Workers: *workers, Par: *par}
+	opt := bench.Options{Scale: *scale, Workers: *workers}
 	if *verbose {
 		opt.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}

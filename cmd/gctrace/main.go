@@ -21,7 +21,6 @@
 //
 //	gctrace -bench barnes-hut -p 24 -scale 0.5
 //	gctrace -bench synthetic -events          # print every GC event
-//	gctrace -bench barnes-hut -p 24 -par 4 -spans  # span-parallel engine + window report
 //	gctrace -bench smvm -machine rack256 -p 256 -scale 0.1
 //	gctrace -latency                          # tail latency under GC, attribution table
 //	gctrace -latency -gap 100000 -policy single-node
@@ -67,8 +66,6 @@ func main() {
 		admission = flag.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
 		faultSeed = flag.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
 		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
-		par       = flag.Int("par", 1, "span workers: the engine drains interaction-free idle machines concurrently between conservative windows (results are identical for any value)")
-		spans     = flag.Bool("spans", false, "print the span-parallelism report: windows opened, span widths, and what closed each window")
 		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
 	)
 	flag.Parse()
@@ -104,9 +101,6 @@ func main() {
 	}
 	if *gap < 2 {
 		fatal(fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap))
-	}
-	if *par < 1 {
-		fatal(fmt.Errorf("-par %d is not a positive span-worker count (1 = serial engine)", *par))
 	}
 	nHarness := 0
 	for _, on := range []bool{*latency, *overload, *mempress, *failover} {
@@ -197,7 +191,6 @@ func main() {
 		cfg = core.DefaultConfig(topo, *vprocs)
 		cfg.Policy = pol
 	}
-	cfg.SpanWorkers = *par
 	cfg.ConcurrentGlobal = concurrentGC
 	rt := core.MustNewRuntime(cfg)
 
@@ -416,23 +409,6 @@ func main() {
 	}
 	fmt.Printf("  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
 
-	if *spans {
-		st := rt.Eng.SpanStats()
-		fmt.Println("\nspan parallelism (window scheduler; all figures deterministic for any -par >= 2):")
-		fmt.Printf("  span workers  %10d\n", *par)
-		fmt.Printf("  windows       %10d opened\n", st.Windows)
-		width := 0.0
-		if st.Windows > 0 {
-			width = float64(st.Spans) / float64(st.Windows)
-		}
-		fmt.Printf("  spans         %10d dispatched (mean width %.2f procs/window)\n", st.Spans, width)
-		fmt.Printf("  span turns    %10d machine steps run on host workers\n", st.SpanTurns)
-		fmt.Printf("  window closes %10d at an edge step, %d at an edge proc, %d by a span event\n",
-			st.CloseEdgeStep, st.CloseEdgeProc, st.CloseExit)
-		if *par < 2 {
-			fmt.Println("  (the serial engine never opens windows; rerun with -par >= 2)")
-		}
-	}
 }
 
 func fatal(err error) {

@@ -65,11 +65,6 @@ type Options struct {
 	// GOMAXPROCS. Every point owns an independent deterministic
 	// core.Runtime, so results are identical for any worker count.
 	Workers int
-	// Par is each runtime's span-worker count (core.Config.SpanWorkers):
-	// 0 or 1 runs the serial engine, N >= 2 drains interaction-free idle
-	// machines on N host workers between conservative windows. Virtual
-	// results are bit-identical for every value.
-	Par int
 }
 
 // workers resolves the worker-pool size.
@@ -84,7 +79,6 @@ func (o Options) workers() int {
 func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt Options) workload.Result {
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
-	cfg.SpanWorkers = opt.Par
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}

@@ -27,7 +27,7 @@ import (
 
 // FailoverPoint is one sweep measurement. Every field except WallNs is a
 // virtual (simulated) result and must stay bit-identical across engine
-// changes and across any -j/-par worker count. Like the overload checksum,
+// changes and across any -j worker count. Like the overload checksum,
 // the failover checksum is schedule-dependent (routing depends on queue
 // depth and breaker state at each instant), so the compared contract is
 // rerun equality at this exact configuration.
@@ -224,9 +224,8 @@ func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
 
 // MeasureFailover runs the sweep on a worker pool. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par; progress lines stream in
-// completion order.
-func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) ([]FailoverPoint, error) {
+// worker count; progress lines stream in completion order.
+func MeasureFailover(sw FailoverSweep, workers int, progress func(string)) ([]FailoverPoint, error) {
 	pts, err := FailoverPoints(sw)
 	if err != nil {
 		return nil, err
@@ -258,7 +257,6 @@ func MeasureFailover(sw FailoverSweep, workers, par int, progress func(string)) 
 			for i := range jobs {
 				pt := &pts[i]
 				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				cfg.SpanWorkers = par
 				rt := core.MustNewRuntime(cfg)
 				opt := FailoverOptionsFor(pt.Replicas, kinds[i], pt.CrashNs, pt.HedgeDelayNs)
 				start := time.Now()

@@ -187,17 +187,15 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 
 // MeasureLatency runs the full sweep on a worker pool. Points are
 // independent deterministic simulations, so the virtual fields are identical
-// for any worker count and any span-worker count par (the engine's window
-// scheduler is bit-identical at every parallelism); progress lines stream in
-// completion order.
-func MeasureLatency(workers, par int, progress func(string)) []LatencyPoint {
-	return MeasureLatencyGC([]string{""}, workers, par, progress)
+// for any worker count; progress lines stream in completion order.
+func MeasureLatency(workers int, progress func(string)) []LatencyPoint {
+	return MeasureLatencyGC([]string{""}, workers, progress)
 }
 
 // MeasureLatencyGC runs the sweep over the given collector modes (see
 // GCModes); mode "" is the stop-the-world collector and reproduces the v1
 // points exactly.
-func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) []LatencyPoint {
+func MeasureLatencyGC(gcs []string, workers int, progress func(string)) []LatencyPoint {
 	pts := LatencyPointsGC(gcs)
 	if workers < 1 {
 		workers = 1
@@ -229,7 +227,6 @@ func MeasureLatencyGC(gcs []string, workers, par int, progress func(string)) []L
 			for i := range jobs {
 				pt := &pts[i]
 				cfg := LatencyConfig(topos[i], pols[i], pt.Threads)
-				cfg.SpanWorkers = par
 				cfg.ConcurrentGlobal = pt.GC == "concurrent"
 				rt := core.MustNewRuntime(cfg)
 				start := time.Now()

@@ -11,13 +11,11 @@ import (
 
 // TestLatencySweepDeterministicAcrossWorkers: the latency sweep's virtual
 // results (percentiles, attribution, checksums) must be bit-identical for
-// any -j worker count AND any -par span-worker count — the same contract as
-// the throughput sweeps, checked point by point. The parallel arm runs the
-// engine's window scheduler (par 4), so this doubles as the bench-layer
-// proof that span windows never change a schedule.
+// any -j worker count — the same contract as the throughput sweeps, checked
+// point by point.
 func TestLatencySweepDeterministicAcrossWorkers(t *testing.T) {
-	serial := MeasureLatency(1, 1, nil)
-	parallel := MeasureLatency(4, 4, nil)
+	serial := MeasureLatency(1, nil)
+	parallel := MeasureLatency(4, nil)
 	if len(serial) != len(parallel) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
 	}

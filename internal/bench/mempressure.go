@@ -185,7 +185,7 @@ func MempressurePoints(sw MempressureSweep) []MempressurePoint {
 // independent deterministic simulations, so the virtual fields are
 // identical for any worker count; progress lines stream in completion
 // order.
-func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(string)) []MempressurePoint {
+func MeasureMempressure(sw MempressureSweep, workers int, progress func(string)) []MempressurePoint {
 	pts := MempressurePoints(sw)
 	if workers < 1 {
 		workers = 1
@@ -215,7 +215,6 @@ func MeasureMempressure(sw MempressureSweep, workers, par int, progress func(str
 				pt := &pts[i]
 				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
 				cfg.GlobalBudgetChunks = pt.Budget
-				cfg.SpanWorkers = par
 				rt := core.MustNewRuntime(cfg)
 				opt := OverloadOptionsFor(pt.MeanGapNs)
 				opt.Admission = adms[i]

@@ -11,8 +11,8 @@ import "testing"
 func TestMempressureSweepDeterministicAcrossWorkers(t *testing.T) {
 	sw := DefaultMempressureSweep()
 	sw.Budgets = []int{0, 16}
-	serial := MeasureMempressure(sw, 1, 1, nil)
-	parallel := MeasureMempressure(sw, 4, 4, nil)
+	serial := MeasureMempressure(sw, 1, nil)
+	parallel := MeasureMempressure(sw, 4, nil)
 	if len(serial) != len(parallel) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
 	}

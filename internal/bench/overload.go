@@ -180,9 +180,8 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 
 // MeasureOverload runs the sweep on a worker pool. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par; progress lines stream in
-// completion order.
-func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) []OverloadPoint {
+// worker count; progress lines stream in completion order.
+func MeasureOverload(sw OverloadSweep, workers int, progress func(string)) []OverloadPoint {
 	pts := OverloadPoints(sw)
 	if workers < 1 {
 		workers = 1
@@ -214,7 +213,6 @@ func MeasureOverload(sw OverloadSweep, workers, par int, progress func(string)) 
 			for i := range jobs {
 				pt := &pts[i]
 				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				cfg.SpanWorkers = par
 				rt := core.MustNewRuntime(cfg)
 				opt := OverloadOptionsFor(pt.MeanGapNs)
 				opt.Admission = adms[i]

@@ -8,8 +8,7 @@ import (
 
 // TestOverloadSweepDeterministicAcrossWorkers: the overload sweep's virtual
 // results — goodput, shed/retry/expired counts, checksums, percentiles —
-// must be bit-identical for any -j worker count and any -par span-worker
-// count (the parallel arm runs the window scheduler). A trimmed sweep (two
+// must be bit-identical for any -j worker count. A trimmed sweep (two
 // loads, two policies, plus the faulted points) keeps the test fast while
 // still covering the retry, nack, and fault paths.
 func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
@@ -18,8 +17,8 @@ func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 		Admissions: []workload.AdmissionPolicy{workload.AdmitQueue, workload.AdmitDeadline},
 		FaultSeed:  OverloadFaultSeed,
 	}
-	serial := MeasureOverload(sw, 1, 1, nil)
-	parallel := MeasureOverload(sw, 4, 2, nil)
+	serial := MeasureOverload(sw, 1, nil)
+	parallel := MeasureOverload(sw, 4, nil)
 	if len(serial) != len(parallel) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -39,7 +38,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	sw := DefaultOverloadSweep()
 	sw.Admissions = []workload.AdmissionPolicy{workload.AdmitNone, workload.AdmitDeadline}
 	sw.FaultSeed = 0
-	pts := MeasureOverload(sw, 4, 1, nil)
+	pts := MeasureOverload(sw, 4, nil)
 
 	peak := map[string]float64{}
 	top := map[string]float64{}

@@ -6,9 +6,9 @@
 // inter-board far tier. The paper's two machines anchor the sweep; the
 // rack presets extend the placement story to hundreds of cores, where the
 // far tier makes the local-allocation advantage even larger than Figures
-// 5-7 show. Results are deterministic for any -j worker count and any
-// -par span-worker count, and the committed SCALE_v1.json baseline gates
-// them in CI exactly like the throughput/latency/overload baselines.
+// 5-7 show. Results are deterministic for any -j worker count, and the
+// committed SCALE_v1.json baseline gates them in CI exactly like the
+// throughput/latency/overload baselines.
 package bench
 
 import (
@@ -25,8 +25,7 @@ import (
 
 // ScalePoint is one sweep measurement. Every field except WallNs is a
 // virtual (simulated) result and must stay bit-identical across engine
-// changes, -j worker counts, and -par span-worker counts; the compare gate
-// checks them exactly.
+// changes and -j worker counts; the compare gate checks them exactly.
 type ScalePoint struct {
 	Machine   string  `json:"machine"`
 	Policy    string  `json:"policy"`
@@ -116,9 +115,8 @@ func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
 
 // MeasureScale runs the sweep on a worker pool. Points are independent
 // deterministic simulations, so the virtual fields are identical for any
-// worker count and any span-worker count par; progress lines stream in
-// completion order.
-func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]ScalePoint, error) {
+// worker count; progress lines stream in completion order.
+func MeasureScale(sw ScaleSweep, workers int, progress func(string)) ([]ScalePoint, error) {
 	pts, err := ScalePoints(sw)
 	if err != nil {
 		return nil, err
@@ -151,7 +149,6 @@ func MeasureScale(sw ScaleSweep, workers, par int, progress func(string)) ([]Sca
 				pt := &pts[i]
 				cfg := core.DefaultConfig(topos[i], pt.Threads)
 				cfg.Policy = pols[i]
-				cfg.SpanWorkers = par
 				rt := core.MustNewRuntime(cfg)
 				spec, err := workload.ByName(pt.Benchmark)
 				if err != nil {

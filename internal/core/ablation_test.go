@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -178,6 +179,29 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := NewRuntime(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestSpanWorkersValidated: the engine is serial, so NewRuntime accepts
+// only SpanWorkers 0 and 1 and rejects every other value rather than
+// clamping it.
+func TestSpanWorkersValidated(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg := stressConfig(1)
+		cfg.SpanWorkers = n
+		if _, err := NewRuntime(cfg); err != nil {
+			t.Errorf("SpanWorkers %d rejected: %v", n, err)
+		}
+	}
+	for _, n := range []int{-1, 2, 4} {
+		cfg := stressConfig(1)
+		cfg.SpanWorkers = n
+		_, err := NewRuntime(cfg)
+		if err == nil {
+			t.Errorf("SpanWorkers %d accepted", n)
+		} else if !strings.Contains(err.Error(), "span-parallel engine was removed") {
+			t.Errorf("SpanWorkers %d: error %q does not say why", n, err)
 		}
 	}
 }

@@ -138,14 +138,12 @@ func TestConcurrentGCOffBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentGCDeterministic: concurrent-mode runs are bit-deterministic
-// across reruns and across span-worker counts — the marking interleaving is
-// part of the virtual schedule, not host nondeterminism.
+// across reruns — the marking interleaving is part of the virtual schedule,
+// not host nondeterminism.
 func TestConcurrentGCDeterministic(t *testing.T) {
 	const nv = 4
-	run := func(par int) (int64, VPStats, RTStats, uint64) {
-		cfg := concurrentStressConfig(nv)
-		cfg.SpanWorkers = par
-		rt := MustNewRuntime(cfg)
+	run := func() (int64, VPStats, RTStats, uint64) {
+		rt := MustNewRuntime(concurrentStressConfig(nv))
 		mk, _, sums := concurrentMutators(rt, nv)
 		var fold uint64
 		for _, s := range sums {
@@ -153,13 +151,11 @@ func TestConcurrentGCDeterministic(t *testing.T) {
 		}
 		return mk, rt.TotalStats(), rt.Stats, fold
 	}
-	mk1, s1, g1, c1 := run(1)
-	for _, par := range []int{1, 2, 3} {
-		mk2, s2, g2, c2 := run(par)
-		if mk1 != mk2 || s1 != s2 || g1 != g2 || c1 != c2 {
-			t.Errorf("par=%d diverged from serial run:\n  %d ns %+v %+v %d\n  %d ns %+v %+v %d",
-				par, mk1, s1, g1, c1, mk2, s2, g2, c2)
-		}
+	mk1, s1, g1, c1 := run()
+	mk2, s2, g2, c2 := run()
+	if mk1 != mk2 || s1 != s2 || g1 != g2 || c1 != c2 {
+		t.Errorf("rerun diverged:\n  %d ns %+v %+v %d\n  %d ns %+v %+v %d",
+			mk1, s1, g1, c1, mk2, s2, g2, c2)
 	}
 	if g1.GlobalGCs == 0 {
 		t.Error("no concurrent collections ran — determinism check is vacuous")

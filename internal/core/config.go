@@ -116,11 +116,10 @@ type Config struct {
 	// Seed makes randomized workloads deterministic.
 	Seed uint64
 
-	// SpanWorkers is the host-worker count of the engine's span-parallel
-	// window scheduler (vtime.Engine.SetParallel). 0 or 1 runs the serial
-	// engine; N >= 2 runs interaction-free idle machines on N host workers
-	// between conservative windows. Virtual results are bit-identical for
-	// every value — the knob trades host CPU for wall clock only.
+	// SpanWorkers must be 0 or 1: the engine is serial, and NewRuntime
+	// rejects any other value. The field exists only because the
+	// host-performance benchmark (perfbench) still sets it to 1; it goes
+	// away with the next change to that benchmark.
 	SpanWorkers int
 }
 
@@ -186,8 +185,8 @@ func (c *Config) normalize() error {
 	if c.VProcChunkBudget < 0 {
 		return fmt.Errorf("core: VProcChunkBudget %d negative", c.VProcChunkBudget)
 	}
-	if c.SpanWorkers < 0 {
-		return fmt.Errorf("core: SpanWorkers %d negative", c.SpanWorkers)
+	if c.SpanWorkers != 0 && c.SpanWorkers != 1 {
+		return fmt.Errorf("core: SpanWorkers %d not supported: the span-parallel engine was removed (use 0 or 1)", c.SpanWorkers)
 	}
 	if c.GCPercent < 0 {
 		return fmt.Errorf("core: GCPercent %d negative", c.GCPercent)

@@ -26,11 +26,7 @@ type runResult struct {
 	perVProc  []core.VPStats
 }
 
-func runWorkloadOnce(t *testing.T, name string, nv int, policy mempage.Policy, scale float64) runResult {
-	return runWorkloadPar(t, numa.AMD48(), name, nv, policy, scale, 0)
-}
-
-func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, policy mempage.Policy, scale float64, spanWorkers int) runResult {
+func runWorkloadOnce(t *testing.T, topo *numa.Topology, name string, nv int, policy mempage.Policy, scale float64) runResult {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -38,7 +34,6 @@ func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, poli
 	}
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
-	cfg.SpanWorkers = spanWorkers
 	rt := core.MustNewRuntime(cfg)
 	res := spec.Run(rt, scale)
 	out := runResult{
@@ -57,35 +52,39 @@ func runWorkloadPar(t *testing.T, topo *numa.Topology, name string, nv int, poli
 // bit-identical makespan, workload result, and per-vproc statistics.
 func TestDeterministicRerun(t *testing.T) {
 	cases := []struct {
+		topo   func() *numa.Topology
 		name   string
 		nv     int
 		policy mempage.Policy
 		scale  float64
 	}{
-		{"quicksort", 8, mempage.PolicyLocal, 0.25},
-		{"barnes-hut", 16, mempage.PolicySingleNode, 0.125},
-		{"synthetic", 8, mempage.PolicyInterleaved, 2},
+		{numa.AMD48, "quicksort", 8, mempage.PolicyLocal, 0.25},
+		{numa.AMD48, "barnes-hut", 16, mempage.PolicySingleNode, 0.125},
+		{numa.AMD48, "synthetic", 8, mempage.PolicyInterleaved, 2},
 		// Channel-heavy: rendezvous handoffs, parked continuations, and
 		// lazy message promotion must all reschedule identically.
-		{"server", 12, mempage.PolicyLocal, 1},
-		{"server", 8, mempage.PolicyInterleaved, 0.5},
+		{numa.AMD48, "server", 12, mempage.PolicyLocal, 1},
+		{numa.AMD48, "server", 8, mempage.PolicyInterleaved, 0.5},
 		// Timer-heavy: the open-loop traffic harness drives thousands of
 		// virtual-time timers through the clamped idle machines; firing
 		// instants and the resulting latencies must be bit-identical.
-		{"latency", 16, mempage.PolicyLocal, 0.5},
-		{"latency", 8, mempage.PolicyInterleaved, 0.25},
+		{numa.AMD48, "latency", 16, mempage.PolicyLocal, 0.5},
+		{numa.AMD48, "latency", 8, mempage.PolicyInterleaved, 0.25},
 		// Crash-heavy: the replicated serving harness kills a lane-home
 		// vproc mid-run, so barrier drops, crashed-heap adoption, owned-
 		// channel SendCrashed wakeups, and lost-work accounting must all
 		// replay identically.
-		{"failover", 12, mempage.PolicyLocal, 0.5},
-		{"failover", 8, mempage.PolicyInterleaved, 0.25},
+		{numa.AMD48, "failover", 12, mempage.PolicyLocal, 0.5},
+		{numa.AMD48, "failover", 8, mempage.PolicyInterleaved, 0.25},
+		// Boarded rack topology: idle sweeps over 64 vprocs cross the
+		// inter-board far tier.
+		{numa.Rack256, "quicksort", 64, mempage.PolicySingleNode, 0.125},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			a := runWorkloadOnce(t, tc.name, tc.nv, tc.policy, tc.scale)
-			b := runWorkloadOnce(t, tc.name, tc.nv, tc.policy, tc.scale)
+			a := runWorkloadOnce(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale)
+			b := runWorkloadOnce(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale)
 			if a.elapsedNs != b.elapsedNs {
 				t.Errorf("elapsed diverged: %d vs %d", a.elapsedNs, b.elapsedNs)
 			}
@@ -101,52 +100,6 @@ func TestDeterministicRerun(t *testing.T) {
 			for i := range a.perVProc {
 				if a.perVProc[i] != b.perVProc[i] {
 					t.Errorf("vproc %d stats diverged:\n  %+v\n  %+v", i, a.perVProc[i], b.perVProc[i])
-				}
-			}
-		})
-	}
-}
-
-// TestSpanWorkersBitIdentical runs full workloads under the serial engine
-// and under the span-parallel window scheduler and asserts every virtual
-// result — makespan, checksum, global and per-vproc statistics — is
-// bit-identical. SpanWorkers is the one engine knob that is allowed to
-// change wall-clock time only; this is the core-layer enforcement of that
-// contract, including on a boarded rack topology where idle sweeps cross
-// the far tier.
-func TestSpanWorkersBitIdentical(t *testing.T) {
-	cases := []struct {
-		topo   func() *numa.Topology
-		name   string
-		nv     int
-		policy mempage.Policy
-		scale  float64
-	}{
-		{numa.AMD48, "barnes-hut", 24, mempage.PolicyLocal, 0.125},
-		{numa.AMD48, "server", 12, mempage.PolicyInterleaved, 0.5},
-		{numa.AMD48, "latency", 16, mempage.PolicyLocal, 0.25},
-		{numa.Rack256, "quicksort", 64, mempage.PolicySingleNode, 0.125},
-		// A crash mid-window: barrier drops and retired-heap adoption must
-		// be invisible to the span scheduler's worker count.
-		{numa.AMD48, "failover", 16, mempage.PolicyLocal, 0.5},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			serial := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, 0)
-			for _, par := range []int{2, 4} {
-				got := runWorkloadPar(t, tc.topo(), tc.name, tc.nv, tc.policy, tc.scale, par)
-				if serial.elapsedNs != got.elapsedNs || serial.makespan != got.makespan || serial.check != got.check {
-					t.Errorf("par %d: elapsed/makespan/check diverged: (%d,%d,%#x) vs (%d,%d,%#x)",
-						par, serial.elapsedNs, serial.makespan, serial.check, got.elapsedNs, got.makespan, got.check)
-				}
-				if serial.global != got.global {
-					t.Errorf("par %d: runtime stats diverged:\n  %+v\n  %+v", par, serial.global, got.global)
-				}
-				for i := range serial.perVProc {
-					if serial.perVProc[i] != got.perVProc[i] {
-						t.Errorf("par %d: vproc %d stats diverged:\n  %+v\n  %+v", par, i, serial.perVProc[i], got.perVProc[i])
-					}
 				}
 			}
 		})

@@ -153,9 +153,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Descs:   heap.NewTable(),
 		Eng:     vtime.NewEngine(cfg.NumVProcs),
 	}
-	if cfg.SpanWorkers > 1 {
-		rt.Eng.SetParallel(cfg.SpanWorkers)
-	}
 	rt.Space = heap.NewSpace(rt.Pages)
 	rt.Chunks = heap.NewChunkManager(rt.Space, cfg.ChunkWords, cfg.Topo.NumNodes())
 	rt.Chunks.NodeAffine = cfg.NodeAffineChunks

@@ -317,19 +317,11 @@ const (
 // The machine enters at sweep-start: the caller has already performed the
 // current iteration's loop-top checks on its own goroutine.
 //
-// Span safety: the machine parks via SpanWhile — every observation it makes
-// (join.done, the preemption flag, timer deadlines, fault and queue sizes,
-// victims' heapBusy/queue) is of state only goroutine-bound procs mutate,
-// which is frozen while a window runs; every write (k, outcome, victim, the
-// failed-steal counter, the limit restore) is vproc-private and covered by
-// the save/restore checkpoint. The one loop-top action that mutates shared
-// state, firing a due timer (it enqueues into vp.queue, which other vprocs'
-// steal probes observe), is hoisted out of the machine: the step exits with
-// sweepTimer at the exact deadline instant, the timer fires on the vproc's
-// own goroutine, and the machine re-enters at its loop top at the same
-// instant — the same charge/observe sequence as firing inline, since firing
-// only enqueues (it cannot complete joins, raise preemption, or zero
-// limits).
+// Firing a due timer happens off-machine: the step exits with sweepTimer at
+// the exact deadline instant, the timer fires on the vproc's own goroutine,
+// and the machine re-enters at its loop top at the same instant — the same
+// charge/observe sequence as firing inline, since firing only enqueues (it
+// cannot complete joins, raise preemption, or zero limits).
 func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 	rt := vp.rt
 	n := len(rt.VProcs)
@@ -399,21 +391,8 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 		k = -1
 		return vp.sweepCharge(rt.Cfg.PollNs, &k), false
 	}
-	var savedK, savedOutcome, savedLimit int
-	var savedVictim *VProc
-	var savedFailed int64
-	save := func() {
-		savedK, savedOutcome, savedVictim = k, outcome, victim
-		savedFailed = vp.Stats.FailedSteals
-		savedLimit = vp.Local.Limit
-	}
-	restore := func() {
-		k, outcome, victim = savedK, savedOutcome, savedVictim
-		vp.Stats.FailedSteals = savedFailed
-		vp.Local.Limit = savedLimit
-	}
 	for {
-		vp.proc.SpanWhile(fn, save, restore)
+		vp.proc.StepWhile(fn)
 		if outcome != sweepTimer {
 			return outcome, victim
 		}

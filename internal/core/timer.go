@@ -205,9 +205,8 @@ func (vp *VProc) SleepUntil(deadline int64) {
 		// Step toward the deadline in poll-sized increments (bounded so a
 		// preemption signal is noticed promptly), clamped to land exactly on
 		// the deadline — and on any nearer timer deadline, whose firing the
-		// loop top services. Span-safe: the step observes only frozen shared
-		// state (limit, preemption flag, own timers) and writes nothing.
-		vp.proc.SpanWhile(func() (int64, bool) {
+		// loop top services.
+		vp.proc.StepWhile(func() (int64, bool) {
 			if vp.Local.LimitZeroed() || vp.rt.global.pending {
 				return 0, true
 			}
@@ -226,6 +225,6 @@ func (vp *VProc) SleepUntil(deadline int64) {
 				return cd, false
 			}
 			return d, false
-		}, nil, nil)
+		})
 	}
 }

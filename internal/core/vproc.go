@@ -266,14 +266,12 @@ func (vp *VProc) waitHeapIdle() {
 	if !vp.heapBusy {
 		return
 	}
-	// Span-safe: the spin reads heapBusy (written only by goroutine-bound
-	// thieves, frozen during a window) and writes nothing.
-	vp.proc.SpanWhile(func() (int64, bool) {
+	vp.proc.StepWhile(func() (int64, bool) {
 		if !vp.heapBusy {
 			return 0, true
 		}
 		return vp.rt.Cfg.SpinNs, false
-	}, nil, nil)
+	})
 }
 
 // chargeAllocCost accounts the memory traffic of initializing a fresh

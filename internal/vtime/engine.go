@@ -46,26 +46,6 @@
 // reschedules that would have kept the holder running anyway, and a step
 // function runs exactly when (in virtual time) its proc would have been
 // scheduled — only on a different stack.
-//
-// # Span-parallel windows
-//
-// With SetParallel(n >= 2) the engine generalizes the horizon fast path from
-// one proc to a set: when the heap minimum is parked via SpanWhile (a step
-// machine declared interaction-free), the engine computes a conservative
-// window edge E — the smallest key among ready procs that are NOT
-// span-parked — and runs every span-parked proc whose key precedes E
-// concurrently on a bounded host-worker pool. The span-safety contract
-// (see SpanWhile) guarantees shared simulation state is frozen for the whole
-// window, so each span's turns compute exactly what the serial interleaving
-// would. If a span's step reports done below the edge, its proc must resume
-// on its own goroutine and may then mutate shared state; the window
-// therefore closes at the earliest such exit B (in (clock, ID) order): the
-// exiting proc is committed, every other participant is rolled back to its
-// window-entry checkpoint (SpanWhile's save/restore hooks) and deterministic-
-// ally replayed below B. Either way every clock the window publishes is the
-// clock the serial engine would have produced, so schedules, GC stats and
-// histograms stay bit-identical for every worker count — including n == 1,
-// which never opens a window and is byte-for-byte the serial engine.
 package vtime
 
 import (
@@ -98,23 +78,6 @@ type Proc struct {
 	// step, when non-nil, is the parked proc's inline scheduler: the token
 	// holder calls it in place of a goroutine handoff (see StepWhile).
 	step func() (int64, bool)
-
-	// span marks a parked step machine as interaction-free (parked via
-	// SpanWhile), making it eligible to run inside a parallel window.
-	// spanSave/spanRestore checkpoint the machine's private state so a
-	// window that closes early can roll the span back and replay it. The
-	// flag is only ever set when the engine runs with SetParallel >= 2;
-	// at par 1 every SpanWhile parks as a plain step.
-	span        bool
-	spanSave    func()
-	spanRestore func()
-}
-
-// clearSpan strips the span marking when a parked machine resumes.
-func (p *Proc) clearSpan() {
-	p.span = false
-	p.spanSave = nil
-	p.spanRestore = nil
 }
 
 // Engine coordinates a fixed set of procs.
@@ -136,28 +99,6 @@ type Engine struct {
 	// the fast path unconditionally true.
 	horizonClock int64
 	horizonID    int
-
-	// par is the host-worker count of the span/window scheduler; <= 1
-	// runs the serial engine and never opens a window.
-	par int
-
-	// spanReady counts span-parked procs currently in the ready heap —
-	// the O(1) gate that keeps window-attempt overhead off the serial
-	// hot path. windowStale suppresses re-attempts after a failed one:
-	// ready keys are static until a push (inline turns only grow the
-	// root's key), so a failed partition cannot become viable before the
-	// heap membership changes.
-	spanReady   int
-	windowStale bool
-
-	// Window scheduler state: the worker pool, per-window scratch, and
-	// achieved-parallelism counters. Only the token holder touches any
-	// of it; workers communicate exclusively through spanWork/spanWG.
-	spanWork   chan spanTask
-	spanWG     sync.WaitGroup
-	spanRuns   []spanRun
-	spanActive []*spanRun
-	spanStats  SpanStats
 }
 
 // NewEngine creates an engine with n procs, all Ready at clock zero.
@@ -183,28 +124,11 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 // Proc returns the i'th proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// SetParallel sets the number of host workers available to the span/window
-// scheduler. n == 1 (the default) selects the serial engine; any n the
-// virtual results are bit-identical — the knob only trades host CPU for
-// wall clock. It must be called before Run.
-func (e *Engine) SetParallel(n int) {
-	if e.started.Load() {
-		panic("vtime: SetParallel after Run")
-	}
-	if n < 1 {
-		panic("vtime: SetParallel needs at least one worker")
-	}
-	e.par = n
-}
-
 // Run executes body on every proc and returns when all procs are Done.
 // It may be called once per engine.
 func (e *Engine) Run(body func(p *Proc)) {
 	if e.started.Swap(true) {
 		panic("vtime: Run called twice")
-	}
-	if e.par > 1 {
-		e.startSpanWorkers()
 	}
 	for _, p := range e.procs {
 		e.wg.Add(1)
@@ -222,9 +146,6 @@ func (e *Engine) Run(body func(p *Proc)) {
 	e.refreshHorizon()
 	e.procs[0].grant()
 	e.wg.Wait()
-	if e.spanWork != nil {
-		close(e.spanWork)
-	}
 }
 
 // grant hands the token to p (who must be the scheduling decision's next
@@ -254,12 +175,6 @@ const heapArity = 4
 
 // heapPush inserts p into the ready heap.
 func (e *Engine) heapPush(p *Proc) {
-	if p.span {
-		e.spanReady++
-	}
-	// Any change of heap membership can make a previously failed window
-	// partition viable again.
-	e.windowStale = false
 	h := e.ready
 	h = append(h, p)
 	i := len(h) - 1
@@ -275,12 +190,10 @@ func (e *Engine) heapPush(p *Proc) {
 }
 
 // heapFixRoot restores the heap property after the root's key grew.
-func (e *Engine) heapFixRoot() { e.heapSiftDown(0) }
-
-// heapSiftDown restores the heap property below i after h[i]'s key grew.
-func (e *Engine) heapSiftDown(i int) {
+func (e *Engine) heapFixRoot() {
 	h := e.ready
 	n := len(h)
+	i := 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
@@ -307,23 +220,11 @@ func (e *Engine) heapSiftDown(i int) {
 // heapPopRoot removes the minimum ready proc.
 func (e *Engine) heapPopRoot() {
 	h := e.ready
-	if h[0].span {
-		e.spanReady--
-	}
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
 	e.ready = h[:n]
 	e.heapFixRoot()
-}
-
-// heapInit heapifies e.ready from an arbitrary permutation (used after a
-// window extracts its participants). Extraction order depends only on the
-// key set, so rebuilding is schedule-neutral.
-func (e *Engine) heapInit() {
-	for i := (len(e.ready) - 2) / heapArity; i >= 0; i-- {
-		e.heapSiftDown(i)
-	}
 }
 
 // refreshHorizon re-caches the ready heap's minimum key.
@@ -363,24 +264,12 @@ func (e *Engine) dispatch() *Proc {
 			e.refreshHorizon()
 			return next
 		}
-		if next.span && e.par > 1 && e.spanReady > 1 && !e.windowStale {
-			if p, opened := e.spanWindow(); opened {
-				if p != nil {
-					return p
-				}
-				continue
-			}
-			// Fewer than two spans below the edge: nothing to
-			// parallelize. spanWindow set windowStale; fall through to
-			// a serial inline turn.
-		}
 		// Inline turn: next is the minimum, so this is exactly the
 		// virtual instant its goroutine would have been scheduled.
 		d, done := next.step()
 		if done {
-			e.heapPopRoot()
 			next.step = nil
-			next.clearSpan()
+			e.heapPopRoot()
 			e.refreshHorizon()
 			return next
 		}
@@ -432,11 +321,6 @@ func (p *Proc) Advance(d int64) {
 		e.ready[0] = p
 		e.heapFixRoot()
 		e.refreshHorizon()
-		// The departing minimum was a non-span goroutine proc whose key
-		// bounded the window edge; with p's (>=) key in its place the
-		// edge can only move out, so a stale window partition may be
-		// viable again.
-		e.windowStale = false
 		next.grant()
 		p.await()
 		return
@@ -475,32 +359,6 @@ func (p *Proc) Advance(d int64) {
 // mutating simulation state and must not call engine scheduling primitives
 // (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
 func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
-	p.parkWhile(fn, nil, nil, false)
-}
-
-// SpanWhile is StepWhile for an interaction-free step machine: parked turns
-// may additionally run inside a parallel window, concurrently with other
-// spans, on a host worker (see the package comment). It is semantically
-// identical to StepWhile — at SetParallel 1 it IS StepWhile — and imposes
-// the span-safety contract on fn:
-//
-//   - fn may READ any simulation state. During a window only spans execute
-//     and spans write nothing shared, so everything it reads is frozen at
-//     its window-entry value — exactly what the serial interleaving of
-//     interaction-free machines would observe.
-//   - fn may WRITE only state private to this machine, and all of it must
-//     be checkpointed by save and rewound by restore (pass nil for either
-//     when fn writes nothing). A window that closes early rolls the span
-//     back via restore and replays it.
-//   - fn must not call engine primitives or charge through contended
-//     (metered) cost-model paths; machines that do — kernel steps, GC scan
-//     machines — park with StepWhile and instead bound the window edge.
-func (p *Proc) SpanWhile(fn func() (d int64, done bool), save, restore func()) {
-	p.parkWhile(fn, save, restore, true)
-}
-
-// parkWhile is the shared StepWhile/SpanWhile body.
-func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span bool) {
 	e := p.eng
 	for {
 		d, done := fn()
@@ -517,17 +375,11 @@ func (p *Proc) parkWhile(fn func() (int64, bool), save, restore func(), span boo
 		}
 		p.clock = c
 		p.step = fn
-		if span && e.par > 1 {
-			p.span = true
-			p.spanSave = save
-			p.spanRestore = restore
-		}
 		e.heapPush(p)
 		next := e.dispatch()
 		if next == p {
-			// dispatch ran fn inline (or inside a window) until it
-			// reported done and cleared p.step; the token never left
-			// this goroutine.
+			// dispatch ran fn inline until it reported done (and
+			// cleared p.step); the token never left this goroutine.
 			return
 		}
 		next.grant()

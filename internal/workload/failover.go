@@ -839,8 +839,8 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 
 // RunFailoverSpec adapts the harness to the benchmark-suite Spec interface:
 // the registry entry exercises replicated routing under a single-vproc
-// crash, so the generic determinism and span-parallel gates cover the crash
-// subsystem end to end.
+// crash, so the generic determinism gates cover the crash subsystem end to
+// end.
 func RunFailoverSpec(rt *core.Runtime, scale float64) Result {
 	opt := DefaultFailoverOptions(scale)
 	opt.Crash = CrashVProc
