@@ -31,6 +31,7 @@
 //	gcbench -mempressure -compare MEMPRESSURE_v1.json  # memory-pressure drift gate
 //	gcbench -rackscale -compare SCALE_v1.json    # rack-scale drift gate
 //	gcbench -failover -compare FAILOVER_v1.json  # failover drift gate
+//	gcbench -figure 7 -cpuprofile cpu.out        # host CPU profile of a sweep
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/hostprof"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/workload"
@@ -75,8 +77,20 @@ func main() {
 		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "sweep points to run concurrently (virtual results are identical for any value)")
 		baseline  = flag.String("baseline", "", "write a perf-baseline JSON to this file (with -latency/-overload: that sweep's baseline)")
 		compare   = flag.String("compare", "", "re-run the baseline configuration and fail on any virtual drift vs this JSON file")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a host heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stopProf, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	// Up-front flag validation: a bad value must fail here with an
 	// actionable message, not surface as a Config.Validate panic deep
@@ -260,13 +274,14 @@ func main() {
 		// Baselines (and the latency/overload/mempressure/rackscale/failover
 		// sweeps) are only comparable across PRs when they are always
 		// recorded at the one fixed configuration, so reject any other
-		// configuration flag rather than silently ignoring it. -j and -v
-		// are allowed: they do not change virtual results. The sweep knobs
-		// are allowed only for a custom print-mode sweep, never for a
-		// baseline.
+		// configuration flag rather than silently ignoring it. -j, -v and
+		// the profile flags are allowed: they do not change virtual
+		// results. The sweep knobs are allowed only for a custom
+		// print-mode sweep, never for a baseline.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "baseline", "compare", "latency", "overload", "mempressure", "rackscale", "failover", "v", "j":
+			case "baseline", "compare", "latency", "overload", "mempressure", "rackscale", "failover", "v", "j",
+				"cpuprofile", "memprofile":
 			case "gc":
 				// -gc selects which fixed latency matrix is measured: the
 				// v1 (stw) or v2 (both-collector) baseline. It is already

@@ -32,6 +32,7 @@
 //	gctrace -failover -p 16 -replicas 2 -crash vproc
 //	gctrace -failover -machine rack256 -p 32 -replicas 4 -crash board
 //	gctrace -failover -p 16 -replicas 2 -crash vproc -hedge 30000
+//	gctrace -bench barnes-hut -p 48 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/hostprof"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/workload"
@@ -67,8 +69,20 @@ func main() {
 		faultSeed = flag.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
 		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
 		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a host heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stopProf, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	// Reject, never clamp: an unknown collector name must not silently run
 	// the default and report numbers for the wrong collector.
@@ -409,6 +423,11 @@ func main() {
 	}
 	fmt.Printf("  cache        %10.2f MB\n", float64(traffic.CacheBytes)/1e6)
 
+	es := rt.Eng.Stats()
+	fmt.Println("\nengine work (host, deterministic):")
+	fmt.Printf("  inline turns %10d\n", es.InlineTurns)
+	fmt.Printf("  handoffs     %10d\n", es.Handoffs)
+	fmt.Printf("  parks        %10d, wakes %d\n", es.Parks, es.Wakes)
 }
 
 func fatal(err error) {

@@ -797,6 +797,11 @@ func (r *rendezvous) cancelTimer() {
 	if r.timer != nil {
 		r.owner.timers.Remove(r.timer)
 		r.timer = nil
+		if r.owner.idle.parked {
+			// The owner's skipped turns were clamped to this deadline;
+			// its next turn recomputes them without it.
+			r.owner.rt.wakeIdle(r.owner, -1)
+		}
 	}
 }
 

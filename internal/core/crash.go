@@ -92,7 +92,7 @@ func (vp *VProc) crash() {
 			continue
 		}
 		r.claimed = true
-		rt.outstanding--
+		rt.releaseOutstanding()
 		vp.Stats.LostConts++
 	}
 	vp.parked = nil
@@ -118,7 +118,7 @@ func (vp *VProc) crash() {
 	if vp.ID == 0 && !rt.entryDone {
 		// The entry task's count is held by Run itself, not by any queue.
 		rt.entryDone = true
-		rt.outstanding--
+		rt.releaseOutstanding()
 		vp.Stats.LostTasks++
 	}
 
@@ -182,11 +182,11 @@ func (vp *VProc) crash() {
 
 // loseTask reports one task lost to a crash.
 func loseTask(vp *VProc, t *Task) {
-	t.done = true
+	vp.rt.taskDone(t)
 	t.lost = true
 	t.executor = vp
 	t.result = 0
-	vp.rt.outstanding--
+	vp.rt.releaseOutstanding()
 	vp.Stats.LostTasks++
 }
 

@@ -93,6 +93,7 @@ func (g *globalState) init(rt *Runtime) {
 func (rt *Runtime) requestGlobalGC(vp *VProc) {
 	g := &rt.global
 	g.pending = true
+	rt.wakeAllIdle()
 	g.leader = vp.ID
 	g.startNs = vp.Now()
 	rt.emit(GCEvent{Kind: EvGlobalStart, VProc: vp.ID, At: g.startNs})

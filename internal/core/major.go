@@ -20,7 +20,7 @@ func (vp *VProc) majorGC() {
 	rt := vp.rt
 	lh := vp.Local
 	start := vp.Now()
-	vp.heapBusy = true
+	vp.setHeapBusy(true)
 	rt.localGCActive++
 	vp.Stats.MajorGCs++
 
@@ -139,7 +139,7 @@ func (vp *VProc) majorGC() {
 
 	vp.Stats.MajorCopied += copied
 	vp.Stats.GCNs += vp.Now() - start
-	vp.heapBusy = false
+	vp.setHeapBusy(false)
 	rt.localGCActive--
 
 	if rt.Cfg.Debug && rt.localGCActive == 0 {

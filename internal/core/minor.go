@@ -18,7 +18,7 @@ func (vp *VProc) minorGC() {
 	rt := vp.rt
 	lh := vp.Local
 	start := vp.Now()
-	vp.heapBusy = true
+	vp.setHeapBusy(true)
 	rt.localGCActive++
 	vp.Stats.MinorGCs++
 
@@ -97,7 +97,7 @@ func (vp *VProc) minorGC() {
 
 	vp.Stats.MinorCopied += copied
 	vp.Stats.GCNs += vp.Now() - start
-	vp.heapBusy = false
+	vp.setHeapBusy(false)
 	rt.localGCActive--
 
 	if rt.Cfg.Debug && rt.localGCActive == 0 {

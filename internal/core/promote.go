@@ -42,8 +42,8 @@ func (vp *VProc) promoteFrom(owner *VProc, root heap.Addr) heap.Addr {
 		for vp.heapBusy {
 			vp.advance(rt.Cfg.SpinNs)
 		}
-		vp.heapBusy = true
-		defer func() { vp.heapBusy = false }()
+		vp.setHeapBusy(true)
+		defer vp.setHeapBusy(false)
 	}
 	region := owner.Local.Region
 	words := region.Words

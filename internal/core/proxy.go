@@ -90,10 +90,10 @@ func (vp *VProc) ProxyDeref(proxy heap.Addr) heap.Addr {
 	if g := heap.Addr(p[heap.ProxyGlobalSlot]); g != 0 {
 		return g
 	}
-	owner.heapBusy = true
+	owner.setHeapBusy(true)
 	local := heap.Addr(p[heap.ProxyLocalSlot])
 	g := vp.promoteFrom(owner, local)
-	owner.heapBusy = false
+	owner.setHeapBusy(false)
 	// Concurrent-mark insertion barrier: promoteFrom passes an
 	// already-global address through unchanged, which during a mark can be
 	// a still-white (from-space) object — and this store publishes it in a

@@ -31,6 +31,14 @@ type Runtime struct {
 	// release it exactly once (see crash.go).
 	entryDone bool
 
+	// Idle-sweep parking (see idle.go): nStealable counts vprocs a thief
+	// could steal from right now, nParked the vprocs skipping idle turns.
+	// idleParking is off where the sweep has no period to skip along.
+	nStealable  int
+	nParked     int
+	idleParking bool
+	idlePeriod  int64
+
 	global globalState
 	tracer Tracer
 
@@ -180,6 +188,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		vp.Local = heap.NewLocalHeap(r)
 		rt.VProcs = append(rt.VProcs, vp)
 	}
+	rt.idleInit()
 	rt.global.init(rt)
 	return rt, nil
 }
@@ -297,7 +306,7 @@ func (rt *Runtime) Run(entry func(vp *VProc)) int64 {
 			entry(vp)
 			vp.Stats.TasksRun++
 			rt.entryDone = true
-			rt.outstanding--
+			rt.releaseOutstanding()
 		}
 		vp.schedulerLoop()
 	})

@@ -56,6 +56,9 @@ type Task struct {
 	result heap.Addr
 	// done is set after Fn returns; Join polls it.
 	done bool
+	// joiner is the vproc waiting in Join for this task, woken from its
+	// idle sweep when the task completes.
+	joiner *VProc
 	// lost is set instead of a real completion when the executing (or
 	// holding) vproc crashed: the task is done in the Join sense — waiting
 	// longer cannot help — but produced nothing.
@@ -85,6 +88,9 @@ type deque struct {
 	buf  []*Task
 	head int // ring index of the top (oldest) task
 	n    int // number of queued tasks
+	// owner, when set, is told of every change in size so it can keep
+	// its stealability current (see syncStealable).
+	owner *VProc
 }
 
 // at returns the i'th queued task, counting from the top (oldest).
@@ -109,6 +115,9 @@ func (d *deque) pushBottom(t *Task) {
 	}
 	d.buf[(d.head+d.n)%len(d.buf)] = t
 	d.n++
+	if d.owner != nil {
+		d.owner.queuePushed()
+	}
 }
 
 func (d *deque) popBottom() *Task {
@@ -119,7 +128,15 @@ func (d *deque) popBottom() *Task {
 	i := (d.head + d.n) % len(d.buf)
 	t := d.buf[i]
 	d.buf[i] = nil
+	d.shrunk()
 	return t
+}
+
+// shrunk tells the owner the queue lost a task.
+func (d *deque) shrunk() {
+	if d.owner != nil {
+		d.owner.syncStealable()
+	}
 }
 
 func (d *deque) popTop() *Task {
@@ -130,6 +147,7 @@ func (d *deque) popTop() *Task {
 	d.buf[d.head] = nil
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
+	d.shrunk()
 	return t
 }
 
@@ -146,6 +164,7 @@ func (d *deque) removeTask(t *Task) bool {
 		}
 		d.n--
 		d.buf[(d.head+d.n)%len(d.buf)] = nil
+		d.shrunk()
 		return true
 	}
 	return false
@@ -217,9 +236,9 @@ func (vp *VProc) runTask(t *Task) {
 	}
 	vp.roots = vp.roots[:base]
 	vp.running = vp.running[:len(vp.running)-1]
-	t.done = true
+	vp.rt.taskDone(t)
 	vp.Stats.TasksRun++
-	vp.rt.outstanding--
+	vp.rt.releaseOutstanding()
 }
 
 // SpawnResult spawns a result-producing task.
@@ -264,7 +283,7 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 	// once popped, the environment is no longer in the victim's
 	// root set, so the victim must not collect until the thief has
 	// promoted it.
-	victim.heapBusy = true
+	victim.setHeapBusy(true)
 	t := victim.queue.popTop()
 	vp.advance(rt.Cfg.StealHitNs)
 	vp.Stats.Steals++
@@ -276,7 +295,7 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 			t.env[i] = vp.promoteFrom(victim, a)
 		}
 	}
-	victim.heapBusy = false
+	victim.setHeapBusy(false)
 	return t
 }
 
@@ -317,6 +336,11 @@ const (
 // The machine enters at sweep-start: the caller has already performed the
 // current iteration's loop-top checks on its own goroutine.
 //
+// Turns that cannot observe anything are skipped, and a machine with
+// nothing to wait for but other vprocs' writes parks off the engine's ready
+// heap until one of them wakes it (idle.go); the observed sequence, and
+// FailedSteals, are those of the turn-by-turn machine.
+//
 // Firing a due timer happens off-machine: the step exits with sweepTimer at
 // the exact deadline instant, the timer fires on the vproc's own goroutine,
 // and the machine re-enters at its loop top at the same instant — the same
@@ -325,8 +349,13 @@ const (
 func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 	rt := vp.rt
 	n := len(rt.VProcs)
+	st := &vp.idle
+	st.join, st.oneShot = join, oneShot
 	k := 0
 	fn := func() (int64, bool) {
+		if st.parked {
+			k = vp.idleResume()
+		}
 		if k < 0 {
 			// Loop top, reached after a poll charge: the same checks
 			// the goroutine loop performs between iterations.
@@ -393,6 +422,7 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 	}
 	for {
 		vp.proc.StepWhile(fn)
+		vp.idleExit(victim)
 		if outcome != sweepTimer {
 			return outcome, victim
 		}
@@ -409,11 +439,15 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 // deadline. When it clamps, the machine's next turn is redirected to the
 // loop top (k = -1) so the due timer fires exactly at its deadline; the
 // abandoned partial probe stays charged as idle time. With no timers armed
-// this is the identity.
+// this is the identity. An unclamped charge then skips past the turns that
+// cannot observe anything (idleSkip).
 func (vp *VProc) sweepCharge(d int64, k *int) int64 {
 	if cd, clamped := vp.timerClamp(d); clamped {
 		*k = -1
 		return cd
+	}
+	if vp.rt.idleParking {
+		return vp.idleSkip(d, *k)
 	}
 	return d
 }
@@ -550,6 +584,7 @@ func (vp *VProc) Join(t *Task) {
 		vp.runTask(t)
 		return
 	}
+	t.joiner = vp
 	for !t.done {
 		vp.checkPreempt()
 	work:

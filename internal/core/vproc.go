@@ -79,6 +79,14 @@ type VProc struct {
 	// or while a thief is promoting out of it.
 	heapBusy bool
 
+	// stealable caches !heapBusy && queue non-empty (rt.nStealable counts
+	// the true ones); observer is the parked vproc woken to probe this
+	// queue when it last turned stealable. idle is this vproc's own
+	// position in a parked idle sweep. See idle.go.
+	stealable bool
+	observer  *VProc
+	idle      idleState
+
 	// assistDebt accumulates the words this vproc allocated in the global
 	// heap while a concurrent mark was in flight; the next safepoint's
 	// mark assist scans proportionally (allocation-paced assists, the

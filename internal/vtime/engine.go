@@ -14,7 +14,7 @@
 // The engine needs no mutex. All scheduler state (clocks, states, the ready
 // heap, the horizon) is mutated only by the current token holder, and the
 // token moves between goroutines over a channel, whose send/receive pair
-// publishes every preceding write to the next holder. Three performance
+// publishes every preceding write to the next holder. Four performance
 // ideas are layered on that discipline:
 //
 //   - Horizon fast path. Whenever the token changes hands (and whenever a
@@ -40,12 +40,27 @@
 //     phases this collapses the token ping-pong between pollers into plain
 //     function calls — the dominant wall-clock cost of the naive engine.
 //
+//   - Parked procs. A step function whose next turns cannot observe
+//     anything new need not take them: it may return a longer charge that
+//     skips straight to the first turn that could, or Park to leave the
+//     ready heap altogether. Whoever then writes state the skipped turns
+//     observe calls WakeAt with the instant of the first of those turns
+//     that falls after the writer's own key (clock, ID) — a decrease-key
+//     for a proc still in the heap, a re-insertion for a parked one. The
+//     rule is exact because the engine runs turns in key order: a turn
+//     keyed after the writer's key is precisely a turn that would have run
+//     after the write and seen it, and one keyed before it saw the old
+//     state, which is why it was skippable. Waking too early costs a turn
+//     that observes nothing; only a missing wake changes the schedule. An
+//     empty heap with a parked proc left is a deadlock, like a Blocked one.
+//
 // The schedule produced is bit-identical to the naive "scan all procs each
 // Advance" engine: keys are unique (IDs break clock ties), the heap yields
 // exactly the same minimum the scan would, the fast path only skips
-// reschedules that would have kept the holder running anyway, and a step
+// reschedules that would have kept the holder running anyway, a step
 // function runs exactly when (in virtual time) its proc would have been
-// scheduled — only on a different stack.
+// scheduled — only on a different stack — and a parked proc is woken at
+// the first turn whose outcome the skipped polling could have changed.
 package vtime
 
 import (
@@ -75,9 +90,38 @@ type Proc struct {
 	state State
 	token chan struct{}
 
-	// step, when non-nil, is the parked proc's inline scheduler: the token
-	// holder calls it in place of a goroutine handoff (see StepWhile).
+	// step, when non-nil, is the suspended proc's inline scheduler: the
+	// token holder calls it in place of a goroutine handoff (see
+	// StepWhile).
 	step func() (int64, bool)
+
+	// hidx is the proc's index in the ready heap, or -1 when it is not in
+	// it; it makes WakeAt's decrease-key O(log n).
+	hidx int
+	// parked is set while the proc's step function has returned Park: it
+	// is out of the ready heap until another proc calls WakeAt on it.
+	parked bool
+}
+
+// Park is the step-function result that takes the proc out of the ready
+// set entirely: it is scheduled again only when another proc calls WakeAt
+// on it (see StepWhile).
+const Park int64 = -1
+
+// Stats counts the engine's host-side work. Every count is a pure function
+// of the simulated schedule, so two runs of the same simulation report the
+// same values and a host-work regression shows up bit-exactly.
+type Stats struct {
+	// InlineTurns counts step-function calls made by dispatch on behalf
+	// of a suspended proc (turns that cost a call, not a handoff).
+	InlineTurns int64
+	// Handoffs counts goroutine handoffs of the execution token.
+	Handoffs int64
+	// Parks counts step results of Park; Wakes counts WakeAt calls that
+	// moved a proc's next turn earlier (re-inserting a parked proc or
+	// decreasing a ready proc's key).
+	Parks int64
+	Wakes int64
 }
 
 // Engine coordinates a fixed set of procs.
@@ -99,6 +143,12 @@ type Engine struct {
 	// the fast path unconditionally true.
 	horizonClock int64
 	horizonID    int
+
+	// running is the proc whose code is executing: the goroutine holding
+	// the token, or the proc whose step function dispatch is calling.
+	running *Proc
+
+	stats Stats
 }
 
 // NewEngine creates an engine with n procs, all Ready at clock zero.
@@ -113,6 +163,7 @@ func NewEngine(n int) *Engine {
 			eng:   e,
 			state: Ready,
 			token: make(chan struct{}, 1),
+			hidx:  -1,
 		})
 	}
 	return e
@@ -143,6 +194,9 @@ func (e *Engine) Run(body func(p *Proc)) {
 	// is already a valid heap) and hand the token to the initial minimum,
 	// proc 0.
 	e.ready = append(e.ready[:0], e.procs[1:]...)
+	for i, p := range e.ready {
+		p.hidx = i
+	}
 	e.refreshHorizon()
 	e.procs[0].grant()
 	e.wg.Wait()
@@ -152,8 +206,20 @@ func (e *Engine) Run(body func(p *Proc)) {
 // proc), waking its goroutine. The channel send publishes all engine state
 // written by the granter. Pairs with await.
 func (p *Proc) grant() {
+	p.eng.stats.Handoffs++
+	p.eng.running = p
 	p.token <- struct{}{}
 }
+
+// Running returns the proc whose code is executing — the token holder, or
+// the proc whose step function is being run inline. Its key (clock, ID) is
+// the instant at which any state it writes becomes observable. Only
+// meaningful while Run is executing procs, and only to the running proc.
+func (e *Engine) Running() *Proc { return e.running }
+
+// Stats returns the engine's work counters. Like MaxClock it must not be
+// called while Run is executing procs.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // await takes the token, parking until granted.
 func (p *Proc) await() {
@@ -175,51 +241,67 @@ const heapArity = 4
 
 // heapPush inserts p into the ready heap.
 func (e *Engine) heapPush(p *Proc) {
+	e.ready = append(e.ready, p)
+	e.heapUp(len(e.ready) - 1)
+}
+
+// heapUp restores the heap property after the key at index i shrank.
+func (e *Engine) heapUp(i int) {
 	h := e.ready
-	h = append(h, p)
-	i := len(h) - 1
+	p := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !procLess(h[i], h[parent]) {
+		q := h[parent]
+		if !procLess(p, q) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = q
+		q.hidx = i
 		i = parent
 	}
-	e.ready = h
+	h[i] = p
+	p.hidx = i
 }
 
 // heapFixRoot restores the heap property after the root's key grew.
 func (e *Engine) heapFixRoot() {
 	h := e.ready
 	n := len(h)
+	if n == 0 {
+		return
+	}
+	p := h[0]
 	i := 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
 		last := first + heapArity
 		if last > n {
 			last = n
 		}
-		min := i
-		for c := first; c < last; c++ {
+		min := first
+		for c := first + 1; c < last; c++ {
 			if procLess(h[c], h[min]) {
 				min = c
 			}
 		}
-		if min == i {
-			return
+		if !procLess(h[min], p) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
+		h[i].hidx = i
 		i = min
 	}
+	h[i] = p
+	p.hidx = i
 }
 
 // heapPopRoot removes the minimum ready proc.
 func (e *Engine) heapPopRoot() {
 	h := e.ready
+	h[0].hidx = -1
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
@@ -239,26 +321,24 @@ func (e *Engine) refreshHorizon() {
 }
 
 // dispatch drives the simulation forward until a goroutine handoff is due:
-// while the minimum ready proc is parked in a step function, its turns are
-// executed inline on the caller's stack; the first minimum that needs its
-// own goroutine (no step function, or its step function just reported done)
-// is popped and returned. Returns nil when no proc is ready — a deadlock
-// (panic) if anything is still blocked, or normal completion if not.
+// while the minimum ready proc is suspended in a step function, its turns
+// are executed inline on the caller's stack (a turn returning Park takes the
+// proc out of the heap); the first minimum that needs its own goroutine (no
+// step function, or its step function just reported done) is popped and
+// returned. Returns nil when no proc is ready and every proc is Done; a
+// proc still Blocked or parked with nothing ready to wake it is a deadlock
+// (panic).
 //
 // The caller must have already accounted for itself (pushed itself into the
-// ready heap, or marked itself Blocked/Done).
+// ready heap, parked, or marked itself Blocked/Done).
 func (e *Engine) dispatch() *Proc {
-	if len(e.ready) == 0 {
-		for _, q := range e.procs {
-			if q.state == Blocked {
-				panic(fmt.Sprintf("vtime: deadlock — proc %d blocked with no ready proc", q.ID))
-			}
-		}
-		// All procs are Done; nothing to schedule.
-		return nil
-	}
 	for {
+		if len(e.ready) == 0 {
+			e.checkDeadlock()
+			return nil
+		}
 		next := e.ready[0]
+		e.running = next
 		if next.step == nil {
 			e.heapPopRoot()
 			e.refreshHorizon()
@@ -266,6 +346,7 @@ func (e *Engine) dispatch() *Proc {
 		}
 		// Inline turn: next is the minimum, so this is exactly the
 		// virtual instant its goroutine would have been scheduled.
+		e.stats.InlineTurns++
 		d, done := next.step()
 		if done {
 			next.step = nil
@@ -273,11 +354,38 @@ func (e *Engine) dispatch() *Proc {
 			e.refreshHorizon()
 			return next
 		}
+		if d == Park {
+			e.heapPopRoot()
+			e.park(next)
+			continue
+		}
 		if d < 0 {
 			panic("vtime: negative advance")
 		}
 		next.clock += d
 		e.heapFixRoot()
+	}
+}
+
+// park records p, whose step function just returned Park, as out of the
+// ready set.
+func (e *Engine) park(p *Proc) {
+	p.parked = true
+	e.stats.Parks++
+}
+
+// checkDeadlock panics if the empty ready set leaves any proc waiting: a
+// Blocked proc can only be released, and a parked proc only woken, by a
+// running one. (A Done proc left marked parked recovered from this very
+// panic; it waits for nothing.)
+func (e *Engine) checkDeadlock() {
+	for _, q := range e.procs {
+		if q.state == Blocked {
+			panic(fmt.Sprintf("vtime: deadlock — proc %d blocked with no ready proc", q.ID))
+		}
+		if q.parked && q.state != Done {
+			panic(fmt.Sprintf("vtime: deadlock — proc %d parked with no ready proc", q.ID))
+		}
 	}
 }
 
@@ -318,6 +426,7 @@ func (p *Proc) Advance(d int64) {
 		// heap slot — saving a separate push + pop. (Heap extraction
 		// order depends only on the key set, never on layout, so this
 		// is schedule-identical to push-then-dispatch.)
+		next.hidx = -1
 		e.ready[0] = p
 		e.heapFixRoot()
 		e.refreshHorizon()
@@ -354,10 +463,16 @@ func (p *Proc) Advance(d int64) {
 //		p.Advance(d)
 //	}
 //
-// but turns that interleave with other parked pollers cost a function call
-// instead of a goroutine handoff. fn must confine itself to observing and
-// mutating simulation state and must not call engine scheduling primitives
-// (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
+// but turns that interleave with other suspended pollers cost a function
+// call instead of a goroutine handoff. fn must confine itself to observing
+// and mutating simulation state and must not call engine scheduling
+// primitives (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
+//
+// fn may also return d == Park (with done false): the proc leaves the ready
+// set and fn is not called again until another proc calls WakeAt on it,
+// which sets the instant of the next call. A fn that parks is responsible
+// for being woken at the first instant it would observe something new;
+// with nothing left running to wake it, the engine reports a deadlock.
 func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 	e := p.eng
 	for {
@@ -365,17 +480,22 @@ func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 		if done {
 			return
 		}
-		if d < 0 {
-			panic("vtime: negative advance")
-		}
-		c := p.clock + d
-		if c < e.horizonClock || (c == e.horizonClock && p.ID < e.horizonID) {
+		if d == Park {
+			p.step = fn
+			e.park(p)
+		} else {
+			if d < 0 {
+				panic("vtime: negative advance")
+			}
+			c := p.clock + d
+			if c < e.horizonClock || (c == e.horizonClock && p.ID < e.horizonID) {
+				p.clock = c
+				continue
+			}
 			p.clock = c
-			continue
+			p.step = fn
+			e.heapPush(p)
 		}
-		p.clock = c
-		p.step = fn
-		e.heapPush(p)
 		next := e.dispatch()
 		if next == p {
 			// dispatch ran fn inline until it reported done (and
@@ -388,6 +508,38 @@ func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 		// report done and cleared p.step.
 		return
 	}
+}
+
+// WakeAt makes q's step function (see StepWhile) run no later than virtual
+// instant t: a parked q re-enters the ready set with its clock set to t,
+// and a ready q whose next turn is later than t has that turn moved up to
+// t (decrease-key). A q already due at or before t is unaffected. p must
+// hold the token, and (t, q.ID) must come strictly after p's own key, so
+// the woken turn lies in the simulation's future.
+func (p *Proc) WakeAt(q *Proc, t int64) {
+	if q.step == nil {
+		panic(fmt.Sprintf("vtime: proc %d woke proc %d which is not in a step function", p.ID, q.ID))
+	}
+	if t < p.clock || (t == p.clock && q.ID <= p.ID) {
+		panic(fmt.Sprintf("vtime: proc %d woke proc %d at (%d, %d), not after its own key (%d, %d)",
+			p.ID, q.ID, t, q.ID, p.clock, p.ID))
+	}
+	e := p.eng
+	switch {
+	case q.parked:
+		q.parked = false
+		q.clock = t
+		e.heapPush(q)
+	case t < q.clock:
+		q.clock = t
+		e.heapUp(q.hidx)
+	default:
+		return
+	}
+	e.stats.Wakes++
+	// q's key may now precede the horizon; refresh so p's fast path
+	// cannot run past it.
+	e.refreshHorizon()
 }
 
 // Block suspends the proc until another proc calls Wake on it. The proc's

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -154,6 +156,91 @@ func TestDeadlockDetection(t *testing.T) {
 	})
 	if !panicked.Load() {
 		t.Fatal("expected deadlock panic")
+	}
+}
+
+func TestParkedDeadlockDetection(t *testing.T) {
+	// A proc parked with nothing left running to wake it is a deadlock,
+	// exactly like a Blocked one: the engine must panic, not hang.
+	e := NewEngine(1)
+	var msg atomic.Value
+	e.Run(func(p *Proc) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg.Store(fmt.Sprint(r))
+			}
+		}()
+		p.StepWhile(func() (int64, bool) { return Park, false })
+	})
+	got, _ := msg.Load().(string)
+	if !strings.Contains(got, "parked with no ready proc") {
+		t.Fatalf("panic = %q, want a parked-proc deadlock", got)
+	}
+}
+
+func TestWakeAtReinsertsAndDecreasesKey(t *testing.T) {
+	// Proc 1 parks outright; proc 2 parks bounded at 1000 (a plain charge
+	// while skipping). Proc 0 wakes proc 1 at 300 (re-insert) and proc 2
+	// at 500 (decrease-key), then at 900 for proc 1 (no-op: already due).
+	e := NewEngine(3)
+	var ran [3][]int64
+	e.Run(func(p *Proc) {
+		switch p.ID {
+		case 0:
+			p.Advance(100)
+			p.WakeAt(e.Proc(1), 300)
+			p.WakeAt(e.Proc(2), 500)
+			p.WakeAt(e.Proc(1), 900)
+			p.Advance(1000)
+		case 1, 2:
+			calls := 0
+			p.StepWhile(func() (int64, bool) {
+				ran[p.ID] = append(ran[p.ID], p.Now())
+				calls++
+				switch {
+				case calls == 2:
+					return 0, true
+				case p.ID == 1:
+					return Park, false
+				default:
+					return 1000, false
+				}
+			})
+		}
+	})
+	want := [3][]int64{nil, {0, 300}, {0, 500}}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("step turns at %v, want %v", ran, want)
+	}
+	st := e.Stats()
+	if st.Parks != 1 || st.Wakes != 2 {
+		t.Fatalf("Parks, Wakes = %d, %d; want 1, 2", st.Parks, st.Wakes)
+	}
+}
+
+func TestWakeAtRejectsPast(t *testing.T) {
+	// A wake at or before the waker's own key would rewrite history.
+	e := NewEngine(2)
+	var msg atomic.Value
+	e.Run(func(p *Proc) {
+		if p.ID == 1 {
+			p.StepWhile(func() (int64, bool) {
+				if p.Now() > 0 {
+					return 0, true
+				}
+				return Park, false
+			})
+			return
+		}
+		func() {
+			defer func() { msg.Store(fmt.Sprint(recover())) }()
+			p.Advance(50)
+			p.WakeAt(e.Proc(1), 40)
+		}()
+		p.WakeAt(e.Proc(1), 60)
+	})
+	if got, _ := msg.Load().(string); !strings.Contains(got, "not after its own key") {
+		t.Fatalf("panic = %q, want a past-wake rejection", got)
 	}
 }
 

@@ -13,6 +13,12 @@ import (
 // inline turns with goroutine handoffs; poll loops observe shared flags
 // written by goroutine-bound procs, so an inline turn scheduled at the
 // wrong virtual instant would see a different flag value and diverge.
+//
+// Parked pollers skip their failed polls altogether: after each failed
+// poll the step returns Park (or a charge several periods long, woken
+// early by decrease-key), counts the skipped polls arithmetically when it
+// runs again, and relies on the writer's WakeAt at the first poll instant
+// after the write — the poll at which the plain loop observes it.
 
 // progRng is a splitmix64 so the generated program is stable across Go
 // versions.
@@ -32,6 +38,26 @@ type progTraceRec struct {
 	id    int
 	clock int64
 	tag   int64
+}
+
+// parkPoll is the shared state of one parked-poller pair: the flag, and the
+// poller's schedule while it skips polls (period pd, first unexecuted poll
+// next).
+type parkPoll struct {
+	flag   bool
+	parked bool
+	pd     int64
+	next   int64
+}
+
+// after is the poller's first poll instant whose key comes after writer
+// w's key; the poller's ID is w's plus one, so ties go to the poller.
+func (pp *parkPoll) after(w *Proc) int64 {
+	lo := w.Now()
+	if lo <= pp.next {
+		return pp.next
+	}
+	return pp.next + (lo-pp.next+pp.pd-1)/pp.pd*pp.pd
 }
 
 type progResult struct {
@@ -57,9 +83,11 @@ func runProgram(seed uint64, useStep bool) progResult {
 	pairs := n / 2
 	flags := make([][]bool, phases)
 	blockReady := make([][]bool, phases)
+	polls := make([][]parkPoll, phases)
 	for ph := 0; ph < phases; ph++ {
 		flags[ph] = make([]bool, pairs)
 		blockReady[ph] = make([]bool, pairs)
+		polls[ph] = make([]parkPoll, pairs)
 	}
 
 	res := progResult{clocks: make([]int64, n), sums: make([]int64, n)}
@@ -143,6 +171,51 @@ func runProgram(seed uint64, useStep bool) progResult {
 						})
 						p.Wake(e.Proc(p.ID - 1))
 					}
+				}
+			}
+
+			// 5. Parked poller: the odd proc polls a flag the even proc
+			// publishes. Under steps it parks between polls — outright,
+			// or bounded by a few periods — and the publisher wakes it.
+			if pair := p.ID / 2; pair < pairs {
+				pp := &polls[ph][pair]
+				if p.ID%2 == 0 {
+					p.Advance(1 + rng.intn(400))
+					pp.flag = true
+					if useStep && pp.parked {
+						p.WakeAt(e.Proc(p.ID+1), pp.after(p))
+					}
+					p.Advance(1 + rng.intn(100))
+				} else {
+					pd := 1 + rng.intn(30)
+					bound := rng.intn(4) // 0: park outright
+					var failed int64
+					if useStep {
+						pp.pd = pd
+						p.StepWhile(func() (int64, bool) {
+							if pp.parked {
+								failed += (p.Now() - pp.next) / pd
+								pp.parked = false
+							}
+							if pp.flag {
+								return 0, true
+							}
+							failed++
+							pp.next = p.Now() + pd
+							pp.parked = true
+							if bound == 0 {
+								return Park, false
+							}
+							return bound * pd, false
+						})
+					} else {
+						for !pp.flag {
+							failed++
+							p.Advance(pd)
+						}
+					}
+					sum += failed
+					trace(p, 5)
 				}
 			}
 
