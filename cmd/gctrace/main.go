@@ -1,37 +1,39 @@
 // Command gctrace runs one benchmark and reports the garbage collector's
 // behaviour: per-phase event counts, copied volumes, pause profile, and the
-// runtime statistics behind them. With -latency it instead runs the
-// open-loop traffic harness at one sweep-style configuration and prints the
-// latency percentiles with the per-request GC-pause attribution breakdown —
-// which collection phases overlapped the request lifetimes in each latency
-// band. With -overload it runs the overload harness at one offered load and
-// admission policy (optionally with a seeded fault plan) and prints the
-// goodput/SLO and shed/retry accounting behind one gcbench -overload point.
-// With -mempressure it runs the same harness against a bounded heap
-// (-budget chunks, optionally with a seeded transient squeeze) and adds the
-// memory-pressure accounting: memory sheds, emergency-ladder walks, failed
-// allocations, and budget overdrafts behind one gcbench -mempressure point.
-// With -failover it runs the replicated serving harness under one injected
-// crash fault and prints the partial-failure accounting: crashed vprocs,
-// lost tasks/continuations/timers, goodput before and after the crash,
-// breaker trips, and the reroute/retry/hedge counters behind one gcbench
-// -failover point.
+// runtime statistics behind them. -sweep NAME instead runs one point of a
+// gcbench serving sweep:
+//
+//   - latency: the open-loop traffic harness; prints the latency
+//     percentiles with the per-request GC-pause attribution breakdown —
+//     which collection phases overlapped the request lifetimes in each
+//     latency band.
+//   - overload: the overload harness at one offered load and admission
+//     policy (optionally with a seeded fault plan); prints the goodput/SLO
+//     and shed/retry accounting.
+//   - mempressure: the same harness against a bounded heap (-budget chunks,
+//     optionally with a seeded transient squeeze); adds the memory-pressure
+//     accounting: memory sheds, emergency-ladder walks, failed allocations,
+//     and budget overdrafts.
+//   - failover: the replicated serving harness under one injected crash
+//     fault; prints the partial-failure accounting: crashed vprocs, lost
+//     tasks/continuations/timers, goodput before and after the crash,
+//     breaker trips, and the reroute/retry/hedge counters.
 //
 // Usage:
 //
 //	gctrace -bench barnes-hut -p 24 -scale 0.5
 //	gctrace -bench synthetic -events          # print every GC event
 //	gctrace -bench smvm -machine rack256 -p 256 -scale 0.1
-//	gctrace -latency                          # tail latency under GC, attribution table
-//	gctrace -latency -gap 100000 -policy single-node
-//	gctrace -latency -gc concurrent           # mostly-concurrent collector: window/assist/barrier attribution
-//	gctrace -overload -p 16 -gap 80000 -admission deadline
-//	gctrace -overload -p 16 -gap 40000 -admission queue -fault-seed 0xfa115afe
-//	gctrace -mempressure -p 16 -gap 40000 -admission memory -budget 24
-//	gctrace -mempressure -p 16 -gap 40000 -admission queue -fault-seed 0x5c0ee2e1
-//	gctrace -failover -p 16 -replicas 2 -crash vproc
-//	gctrace -failover -machine rack256 -p 32 -replicas 4 -crash board
-//	gctrace -failover -p 16 -replicas 2 -crash vproc -hedge 30000
+//	gctrace -sweep latency                          # tail latency under GC, attribution table
+//	gctrace -sweep latency -gap 100000 -policy single-node
+//	gctrace -sweep latency -gc concurrent           # mostly-concurrent collector: window/assist/barrier attribution
+//	gctrace -sweep overload -p 16 -gap 80000 -admission deadline
+//	gctrace -sweep overload -p 16 -gap 40000 -admission queue -fault-seed 0xfa115afe
+//	gctrace -sweep mempressure -p 16 -gap 40000 -admission memory -budget 24
+//	gctrace -sweep mempressure -p 16 -gap 40000 -admission queue -fault-seed 0x5c0ee2e1
+//	gctrace -sweep failover -p 16 -replicas 2 -crash vproc
+//	gctrace -sweep failover -machine rack256 -p 32 -replicas 4 -crash board
+//	gctrace -sweep failover -p 16 -replicas 2 -crash vproc -hedge 30000
 //	gctrace -bench barnes-hut -p 48 -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -40,6 +42,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -57,17 +61,14 @@ func main() {
 		vprocs    = flag.Int("p", 8, "number of vprocs")
 		scale     = flag.Float64("scale", 1.0, "workload scale")
 		events    = flag.Bool("events", false, "print every GC event")
-		latency   = flag.Bool("latency", false, "run the open-loop latency harness (GC-pressure heap shape) and print the pause-attribution breakdown")
-		overload  = flag.Bool("overload", false, "run the overload harness (GC-pressure heap shape) and print the goodput/SLO and shed/retry accounting")
-		mempress  = flag.Bool("mempressure", false, "run the overload harness against a bounded heap and print the memory-pressure accounting")
-		failover  = flag.Bool("failover", false, "run the replicated serving harness under one injected crash fault and print the partial-failure accounting")
-		replicasN = flag.Int("replicas", 2, "with -failover: replication level of the serving pool")
-		crashFlag = flag.String("crash", "vproc", "with -failover: crash kind (none, vproc, board) injected at the sweep's fixed instant")
-		hedge     = flag.Int64("hedge", 0, "with -failover: hedge delay in virtual ns (0 = no hedged requests)")
-		gap       = flag.Int64("gap", 400_000, "with -latency/-overload/-mempressure: mean per-client inter-arrival gap in virtual ns (offered load)")
-		admission = flag.String("admission", "deadline", "with -overload/-mempressure: admission policy (none, queue, deadline, memory)")
-		faultSeed = flag.Uint64("fault-seed", 0, "with -overload: seed a fault plan of stalls and bursts; with -mempressure: seed a transient budget squeeze (0 = no faults)")
-		budget    = flag.Int("budget", 0, "with -mempressure: global heap budget in chunks (0 = unbounded)")
+		sweepName = flag.String("sweep", "", "run one point of a serving sweep under its GC-pressure heap shape instead of -bench: "+strings.Join(harnessNames, ", "))
+		replicasN = flag.Int("replicas", 2, "with -sweep failover: replication level of the serving pool")
+		crashFlag = flag.String("crash", "vproc", "with -sweep failover: crash kind (none, vproc, board) injected at the sweep's fixed instant")
+		hedge     = flag.Int64("hedge", 0, "with -sweep failover: hedge delay in virtual ns (0 = no hedged requests)")
+		gap       = flag.Int64("gap", 400_000, "with -sweep latency/overload/mempressure: mean per-client inter-arrival gap in virtual ns (offered load)")
+		admission = flag.String("admission", "deadline", "with -sweep overload/mempressure: admission policy (none, queue, deadline, memory)")
+		faultSeed = flag.Uint64("fault-seed", 0, "with -sweep overload: seed a fault plan of stalls and bursts; with -sweep mempressure: seed a transient budget squeeze (0 = no faults)")
+		budget    = flag.Int("budget", 0, "with -sweep mempressure: global heap budget in chunks (0 = unbounded)")
 		gcMode    = flag.String("gc", "stw", "global collector (stw, concurrent)")
 		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a host heap profile at the end of the run to this file")
@@ -116,15 +117,11 @@ func main() {
 	if *gap < 2 {
 		fatal(fmt.Errorf("-gap %d is not a usable inter-arrival gap (need >= 2 ns)", *gap))
 	}
-	nHarness := 0
-	for _, on := range []bool{*latency, *overload, *mempress, *failover} {
-		if on {
-			nHarness++
-		}
+	harness := *sweepName
+	if harness != "" && !slices.Contains(harnessNames, harness) {
+		fatal(fmt.Errorf("unknown -sweep %q (%s)", harness, strings.Join(harnessNames, ", ")))
 	}
-	if nHarness > 1 {
-		fatal(fmt.Errorf("-latency, -overload, -mempressure, and -failover are mutually exclusive harnesses"))
-	}
+	failover, mempress := harness == "failover", harness == "mempressure"
 	if *budget < 0 {
 		fatal(fmt.Errorf("-budget %d is negative (0 = unbounded)", *budget))
 	}
@@ -139,14 +136,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *failover {
+	if failover {
 		// The harness panics on impossible crash targets; catch those here
 		// with a usable message before any simulation time is spent.
 		if *replicasN < 1 {
 			fatal(fmt.Errorf("-replicas %d is not a positive replication level", *replicasN))
 		}
 		if *vprocs < 2 {
-			fatal(fmt.Errorf("-failover needs at least 2 vprocs (vproc 0 coordinates and is never a crash target)"))
+			fatal(fmt.Errorf("-sweep failover needs at least 2 vprocs (vproc 0 coordinates and is never a crash target)"))
 		}
 		if *hedge < 0 {
 			fatal(fmt.Errorf("-hedge %d is not a usable hedge delay (0 disables hedging)", *hedge))
@@ -160,33 +157,20 @@ func main() {
 	}
 	// Reject flag combinations that would otherwise be silently ignored:
 	// the traffic harnesses have fixed workload shapes (-bench/-scale do
-	// nothing under them), -gap only means anything to the load-driven
-	// harnesses, the admission/fault knobs only mean anything to the
-	// overload and memory-pressure harnesses, the budget only to the
-	// latter, and the crash/replication knobs only to -failover.
-	harness := *latency || *overload || *mempress || *failover
-	harnessName := "-latency"
-	if *overload {
-		harnessName = "-overload"
-	}
-	if *mempress {
-		harnessName = "-mempressure"
-	}
-	if *failover {
-		harnessName = "-failover"
-	}
+	// nothing under them), and each harness knob means something only to
+	// the harnesses harnessKnobs lists it for.
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case harness && (f.Name == "bench" || f.Name == "scale"):
-			fatal(fmt.Errorf("%s runs a fixed traffic workload; remove -%s", harnessName, f.Name))
-		case (!harness || *failover) && f.Name == "gap":
-			fatal(fmt.Errorf("-gap only applies to the -latency/-overload/-mempressure harnesses"))
-		case !*overload && !*mempress && (f.Name == "admission" || f.Name == "fault-seed"):
-			fatal(fmt.Errorf("-%s only applies to the -overload/-mempressure harnesses", f.Name))
-		case !*mempress && f.Name == "budget":
-			fatal(fmt.Errorf("-budget only applies to the -mempressure harness"))
-		case !*failover && (f.Name == "replicas" || f.Name == "crash" || f.Name == "hedge"):
-			fatal(fmt.Errorf("-%s only applies to the -failover harness", f.Name))
+		if harness != "" && (f.Name == "bench" || f.Name == "scale") {
+			fatal(fmt.Errorf("-sweep %s runs a fixed traffic workload; remove -%s", harness, f.Name))
+		}
+		var owners []string
+		for _, h := range harnessNames {
+			if slices.Contains(harnessKnobs[h], f.Name) {
+				owners = append(owners, h)
+			}
+		}
+		if owners != nil && !slices.Contains(owners, harness) {
+			fatal(fmt.Errorf("-%s only applies to -sweep %s", f.Name, strings.Join(owners, "/")))
 		}
 	})
 	spec, err := workload.ByName(*benchName)
@@ -195,9 +179,8 @@ func main() {
 	}
 
 	var cfg core.Config
-	if harness {
-		// Mirror the gcbench -latency/-overload/-mempressure sweeps'
-		// GC-pressure configuration so the numbers printed here correspond
+	if harness != "" {
+		// Mirror the gcbench serving sweeps' GC-pressure configuration so the numbers printed here correspond
 		// to the baseline points.
 		cfg = bench.LatencyConfig(topo, pol, *vprocs)
 		cfg.GlobalBudgetChunks = *budget
@@ -225,8 +208,8 @@ func main() {
 	var lat workload.LatencyResult
 	var ov workload.OverloadResult
 	var fo workload.FailoverResult
-	switch {
-	case *failover:
+	switch harness {
+	case "failover":
 		opt := bench.FailoverOptionsFor(*replicasN, crash, bench.FailoverCrashNs, *hedge)
 		fo = workload.RunFailover(rt, opt)
 		res = fo.Result
@@ -234,13 +217,13 @@ func main() {
 			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, opt.Replicas, opt.ServersPerReplica)
 		fmt.Printf("crash %s at %d ns (virtual), deadline %d ns, attempt timeout %d ns, hedge delay %d ns\n",
 			crash, opt.CrashNs, opt.DeadlineNs, opt.AttemptNs, opt.HedgeDelayNs)
-	case *latency:
+	case "latency":
 		opt := bench.LatencyOptionsFor(*gap)
 		lat = workload.RunLatency(rt, opt)
 		res = lat.Result
 		fmt.Printf("open-loop latency harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns\n",
 			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap)
-	case *overload:
+	case "overload":
 		opt := bench.OverloadOptionsFor(*gap)
 		opt.Admission = adm
 		if *faultSeed != 0 {
@@ -250,7 +233,7 @@ func main() {
 		res = ov.Result
 		fmt.Printf("overload harness on %s, policy %s, %d vprocs, %d clients x %d requests, mean gap %d ns, admission %s, SLO %d ns, fault seed %#x\n",
 			topo.Name, pol, *vprocs, opt.Clients, opt.Requests, *gap, adm, opt.SLONs, *faultSeed)
-	case *mempress:
+	case "mempressure":
 		opt := bench.OverloadOptionsFor(*gap)
 		opt.Admission = adm
 		if *faultSeed != 0 {
@@ -288,7 +271,7 @@ func main() {
 			// phase table byte-identical to the classic views.
 			continue
 		}
-		if k == core.EvEmergency && !*mempress {
+		if k == core.EvEmergency && !mempress {
 			// Emergency ladder walks only exist under a bounded heap;
 			// keep the classic views' phase table unchanged.
 			continue
@@ -302,7 +285,7 @@ func main() {
 			label, c, words[k], float64(ns[k])/float64(c)/1000)
 	}
 
-	if *latency {
+	if harness == "latency" {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
 		fmt.Printf("\nrequest latency (virtual, from scheduled arrival):\n")
 		fmt.Printf("  p50 %.1f us   p90 %.1f us   p99 %.1f us   p99.9 %.1f us   (%d requests, %d timers fired)\n",
@@ -323,7 +306,7 @@ func main() {
 			lat.Tail.GlobalGCs, us(lat.Tail.Global.MaxNs))
 	}
 
-	if *overload || *mempress {
+	if harness == "overload" || mempress {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
 		offered := float64(ov.Offered) / float64(ov.WindowNs) * 1e3
 		goodput := float64(ov.GoodSLO) / float64(res.ElapsedNs) * 1e3
@@ -339,13 +322,13 @@ func main() {
 			ov.Retries, s.ChanSheds)
 		fmt.Printf("  latency   p50 %.1f us   p99 %.1f us (completed requests, from scheduled arrival)\n",
 			us(ov.P50), us(ov.P99))
-		if *overload && *faultSeed != 0 {
+		if harness == "overload" && *faultSeed != 0 {
 			fmt.Printf("  faults    %d injected: %.1f us stalled, %d words burst-allocated (seed %#x)\n",
 				s.FaultsInjected, us(s.FaultStallNs), s.FaultBurstWords, *faultSeed)
 		}
 	}
 
-	if *mempress {
+	if mempress {
 		mp := rt.MemPressure()
 		fmt.Printf("\nmemory pressure (deterministic occupancy counters):\n")
 		fmt.Printf("  occupancy  %6d of %d active chunks at exit (0 budget = unbounded)\n",
@@ -359,7 +342,7 @@ func main() {
 		}
 	}
 
-	if *failover {
+	if failover {
 		us := func(v int64) float64 { return float64(v) / 1e3 }
 		fmt.Printf("\nfailover accounting (every offered request resolves exactly once):\n")
 		fmt.Printf("  offered   %6d requests over a %.1f us arrival window\n", fo.Offered, us(fo.WindowNs))
@@ -429,6 +412,19 @@ func main() {
 	fmt.Printf("  handoffs     %10d\n", es.Handoffs)
 	fmt.Printf("  parks        %10d, wakes %d\n", es.Parks, es.Wakes)
 }
+
+// harnessNames are the serving harnesses -sweep selects, and harnessKnobs
+// the flags each one accepts beyond the machine, policy, vproc and
+// collector settings every run takes.
+var (
+	harnessNames = []string{"latency", "overload", "mempressure", "failover"}
+	harnessKnobs = map[string][]string{
+		"latency":     {"gap"},
+		"overload":    {"gap", "admission", "fault-seed"},
+		"mempressure": {"gap", "admission", "fault-seed", "budget"},
+		"failover":    {"replicas", "crash", "hedge"},
+	}
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gctrace:", err)

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -67,85 +66,63 @@ type Options struct {
 	Workers int
 }
 
-// workers resolves the worker-pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runOne executes a benchmark at one configuration point.
-func runOne(topo *numa.Topology, policy mempage.Policy, nv int, name string, opt Options) workload.Result {
+// kernelRuntime builds a compute-kernel point's runtime: the machine's
+// default configuration under policy, at an explicit seed when nonzero.
+func kernelRuntime(topo *numa.Topology, policy mempage.Policy, nv int, seed uint64) *core.Runtime {
 	cfg := core.DefaultConfig(topo, nv)
 	cfg.Policy = policy
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
+	if seed != 0 {
+		cfg.Seed = seed
 	}
-	rt := core.MustNewRuntime(cfg)
-	spec, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	return spec.Run(rt, scale)
+	return core.MustNewRuntime(cfg)
 }
 
 // Sweep runs the suite over the thread counts on a machine/policy. The
-// (benchmark, thread-count) points are independent — each owns its own
-// deterministic Runtime — so they dispatch to a worker pool of
-// opt.Workers goroutines; results are collected positionally, making the
-// figure identical for any worker count.
+// (benchmark, thread-count) points are independent, so they run on
+// opt.Workers sweep workers (0 means GOMAXPROCS); results are collected
+// positionally, making the figure identical for any worker count.
 func Sweep(topo *numa.Topology, policy mempage.Policy, threads []int, opt Options) Figure {
 	benches := opt.Benchmarks
 	if benches == nil {
 		benches = FigureBenchmarks
 	}
-
-	type job struct{ bi, ti int }
-	jobs := make(chan job)
-	elapsed := make([][]int64, len(benches))
-	for bi := range benches {
-		elapsed[bi] = make([]int64, len(threads))
+	scale := opt.Scale
+	if scale == 0 {
+		scale = 1
 	}
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				nv := threads[j.ti]
-				b := benches[j.bi]
-				res := runOne(topo, policy, nv, b, opt)
-				elapsed[j.bi][j.ti] = res.ElapsedNs
-				if opt.Progress != nil {
-					progressMu.Lock()
-					opt.Progress(fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, b, nv, float64(res.ElapsedNs)/1e6))
-					progressMu.Unlock()
-				}
-			}
-		}()
+	type point struct {
+		bench     string
+		threads   int
+		elapsedNs int64
+		WallNs    int64 // the runner's host timing; unreported
 	}
-	for bi := range benches {
-		for ti := range threads {
-			jobs <- job{bi, ti}
+	var pts []point
+	for _, b := range benches {
+		for _, nv := range threads {
+			pts = append(pts, point{bench: b, threads: nv})
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	workers := opt.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runSweep(pts, workers, opt.Progress, func(pt *point) func() {
+		spec := must(workload.ByName(pt.bench))
+		rt := kernelRuntime(topo, policy, pt.threads, opt.Seed)
+		return func() { pt.elapsedNs = spec.Run(rt, scale).ElapsedNs }
+	}, func(pt *point) string {
+		return fmt.Sprintf("%s %s %s p=%d: %.3f ms", topo.Name, policy, pt.bench, pt.threads, float64(pt.elapsedNs)/1e6)
+	})
 
 	fig := Figure{Machine: topo.Name, Policy: policy, Baseline: map[string]int64{}}
 	for bi, b := range benches {
-		s := Series{Benchmark: b, Threads: threads, ElapsedNs: elapsed[bi]}
+		s := Series{Benchmark: b, Threads: threads}
+		for _, pt := range pts[bi*len(threads) : (bi+1)*len(threads)] {
+			s.ElapsedNs = append(s.ElapsedNs, pt.elapsedNs)
+		}
 		base := s.ElapsedNs[0]
-		if opt.BaselineNs != nil {
-			if v, ok := opt.BaselineNs[b]; ok {
-				base = v
-			}
+		if v, ok := opt.BaselineNs[b]; ok {
+			base = v
 		}
 		fig.Baseline[b] = base
 		for _, e := range s.ElapsedNs {
@@ -211,6 +188,71 @@ func RunServerFigures(opt Options) []Figure {
 		}
 	}
 	return out
+}
+
+// FigurePoint is one point of the fixed throughput suite that BENCH_v3.json
+// records: a kernel's virtual makespan at one figure, policy and vproc
+// count on the AMD machine. VirtualMs must stay bit-identical across engine
+// changes; WallNs is the host wall clock of the run, the perf trajectory
+// later changes compare against. Concurrent points share host cores, which
+// inflates WallNs, so committed baselines are recorded with -j 1.
+type FigurePoint struct {
+	Figure    int     `json:"figure"`
+	Benchmark string  `json:"benchmark"`
+	Policy    string  `json:"policy"`
+	Threads   int     `json:"threads"`
+	VirtualMs float64 `json:"virtual_ms"`
+	WallNs    int64   `json:"wall_ns"`
+}
+
+// Key identifies the point's configuration.
+func (p FigurePoint) Key() string {
+	return fmt.Sprintf("figure %d %s %s p=%d", p.Figure, p.Benchmark, p.Policy, p.Threads)
+}
+
+// FigurePointScale is the suite's workload scale, the one `go test -bench .`
+// uses, so the suite's virtual makespans line up with the benchmark output.
+const FigurePointScale = 0.25
+
+// FigurePoints enumerates the suite: Figures 5-7 (AMD48 under the local,
+// interleaved and single-node policies), the five kernels, p = 1, 24, 48.
+func FigurePoints() []FigurePoint {
+	figures := []struct {
+		id     int
+		policy mempage.Policy
+	}{{5, mempage.PolicyLocal}, {6, mempage.PolicyInterleaved}, {7, mempage.PolicySingleNode}}
+	var pts []FigurePoint
+	for _, fig := range figures {
+		for _, name := range FigureBenchmarks {
+			for _, nv := range []int{1, 24, 48} {
+				pts = append(pts, FigurePoint{Figure: fig.id, Benchmark: name, Policy: fig.policy.String(), Threads: nv})
+			}
+		}
+	}
+	return pts
+}
+
+// MeasureFigurePoints runs the suite on workers sweep workers.
+func MeasureFigurePoints(workers int, progress func(string)) []FigurePoint {
+	pts := FigurePoints()
+	runSweep(pts, workers, progress, func(pt *FigurePoint) func() {
+		spec := must(workload.ByName(pt.Benchmark))
+		rt := kernelRuntime(numa.AMD48(), must(mempage.ParsePolicy(pt.Policy)), pt.Threads, 0)
+		return func() { pt.VirtualMs = float64(spec.Run(rt, FigurePointScale).ElapsedNs) / 1e6 }
+	}, func(pt *FigurePoint) string {
+		return fmt.Sprintf("%s: %.4f virtual-ms", pt.Key(), pt.VirtualMs)
+	})
+	return pts
+}
+
+// RenderFigurePoints formats the suite as a table of virtual makespans.
+func RenderFigurePoints(pts []FigurePoint) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Throughput suite: virtual makespans at scale %g\n", FigurePointScale)
+	for _, p := range pts {
+		fmt.Fprintf(&b, "%-34s %10.4f ms\n", p.Key(), p.VirtualMs)
+	}
+	return b.String()
 }
 
 // Render formats a figure as the text table the harness reports.

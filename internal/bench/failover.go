@@ -16,8 +16,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -84,13 +82,6 @@ func (p FailoverPoint) Key() string {
 		k += "+hedge"
 	}
 	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p FailoverPoint) VirtualEq(q FailoverPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
 }
 
 // FailoverSweep configures which points MeasureFailover runs. The zero
@@ -222,96 +213,48 @@ func FailoverPoints(sw FailoverSweep) ([]FailoverPoint, error) {
 	return pts, nil
 }
 
-// MeasureFailover runs the sweep on a worker pool. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count; progress lines stream in completion order.
+// MeasureFailover runs the sweep on workers sweep workers; a selection
+// with no runnable points fails before any simulation starts.
 func MeasureFailover(sw FailoverSweep, workers int, progress func(string)) ([]FailoverPoint, error) {
 	pts, err := FailoverPoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve names on the calling goroutine (see MeasureOverload).
-	topos := make([]*numa.Topology, len(pts))
-	kinds := make([]workload.CrashKind, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			return nil, err
+	runSweep(pts, workers, progress, func(pt *FailoverPoint) func() {
+		rt := core.MustNewRuntime(LatencyConfig(must(numa.Preset(pt.Machine)), mempage.PolicyLocal, pt.Threads))
+		opt := FailoverOptionsFor(pt.Replicas, must(workload.ParseCrashKind(pt.Crash)), pt.CrashNs, pt.HedgeDelayNs)
+		return func() {
+			res := workload.RunFailover(rt, opt)
+			pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+			pt.Check = res.Check
+			pt.WindowNs = res.WindowNs
+			pt.Offered = res.Offered
+			pt.Completed = res.Completed
+			pt.GoodSLO = res.GoodSLO
+			pt.FailedDeadline = res.FailedDeadline
+			pt.LostClient = res.LostClient
+			pt.ShedMemory = res.ShedMemory
+			pt.OfferedPre, pt.GoodPre, pt.LostPre = res.OfferedPre, res.GoodPre, res.LostPre
+			pt.OfferedPost, pt.GoodPost, pt.LostPost = res.OfferedPost, res.GoodPost, res.LostPost
+			pt.Retries = res.Retries
+			pt.Rerouted = res.Rerouted
+			pt.Hedged, pt.HedgeWins = res.Hedged, res.HedgeWins
+			pt.BreakerTrips = res.BreakerTrips
+			pt.FastFails = res.FastFails
+			pt.LateReplies = res.LateReplies
+			pt.Crashes = res.Crashes
+			pt.LostTasks = res.Stats.LostTasks
+			pt.LostConts = res.Stats.LostConts
+			pt.LostTimers = res.Stats.LostTimers
+			pt.P50Ns, pt.P99Ns = res.P50, res.P99
+			pt.GlobalGCs = rt.Stats.GlobalGCs
 		}
-		kind, err := workload.ParseCrashKind(pt.Crash)
-		if err != nil {
-			return nil, err
-		}
-		topos[i], kinds[i] = topo, kind
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				rt := core.MustNewRuntime(cfg)
-				opt := FailoverOptionsFor(pt.Replicas, kinds[i], pt.CrashNs, pt.HedgeDelayNs)
-				start := time.Now()
-				res := workload.RunFailover(rt, opt)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.WindowNs = res.WindowNs
-				pt.Offered = res.Offered
-				pt.Completed = res.Completed
-				pt.GoodSLO = res.GoodSLO
-				pt.FailedDeadline = res.FailedDeadline
-				pt.LostClient = res.LostClient
-				pt.ShedMemory = res.ShedMemory
-				pt.OfferedPre, pt.GoodPre, pt.LostPre = res.OfferedPre, res.GoodPre, res.LostPre
-				pt.OfferedPost, pt.GoodPost, pt.LostPost = res.OfferedPost, res.GoodPost, res.LostPost
-				pt.Retries = res.Retries
-				pt.Rerouted = res.Rerouted
-				pt.Hedged, pt.HedgeWins = res.Hedged, res.HedgeWins
-				pt.BreakerTrips = res.BreakerTrips
-				pt.FastFails = res.FastFails
-				pt.LateReplies = res.LateReplies
-				pt.Crashes = res.Crashes
-				stats := res.Stats
-				pt.LostTasks = stats.LostTasks
-				pt.LostConts = stats.LostConts
-				pt.LostTimers = stats.LostTimers
-				pt.P50Ns, pt.P99Ns = res.P50, res.P99
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: slo %.0f%% pre %.0f%% post-serving %.0f%% lost %d rerouted %d trips %d crashes %d (%s wall)",
-						pt.Key(), failoverShare(pt.GoodSLO, pt.Offered)*100,
-						failoverShare(pt.GoodPre, pt.OfferedPre)*100,
-						failoverShare(pt.GoodPost, pt.OfferedPost-pt.LostPost)*100,
-						pt.LostClient, pt.Rerouted, pt.BreakerTrips, pt.Crashes, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	}, func(pt *FailoverPoint) string {
+		return fmt.Sprintf("%s: slo %.0f%% pre %.0f%% post-serving %.0f%% lost %d rerouted %d trips %d crashes %d",
+			pt.Key(), share(pt.GoodSLO, pt.Offered)*100, share(pt.GoodPre, pt.OfferedPre)*100,
+			share(pt.GoodPost, pt.OfferedPost-pt.LostPost)*100, pt.LostClient, pt.Rerouted, pt.BreakerTrips, pt.Crashes)
+	})
 	return pts, nil
-}
-
-// failoverShare is a safe ratio for render-time percentages.
-func failoverShare(num, den int) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }
 
 // RenderFailover formats the sweep as the text table gcbench prints: SLO
@@ -328,9 +271,9 @@ func RenderFailover(pts []FailoverPoint) string {
 	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-34s %5.0f%% %5.0f%% %8.0f%% %6d %6d %7d %8d %7d %6d %8d %10s %10s\n",
-			p.Key(), failoverShare(p.GoodSLO, p.Offered)*100,
-			failoverShare(p.GoodPre, p.OfferedPre)*100,
-			failoverShare(p.GoodPost, p.OfferedPost-p.LostPost)*100,
+			p.Key(), share(p.GoodSLO, p.Offered)*100,
+			share(p.GoodPre, p.OfferedPre)*100,
+			share(p.GoodPost, p.OfferedPost-p.LostPost)*100,
 			p.LostClient, p.Crashes, p.LostTasks, p.Rerouted, p.Retries, p.BreakerTrips, p.HedgeWins,
 			us(p.P50Ns), us(p.P99Ns))
 	}

@@ -9,8 +9,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -146,12 +144,6 @@ func GCModes(sel string) ([]string, error) {
 	}
 }
 
-// LatencyPoints enumerates the sweep: machine × policy × offered load, under
-// the stop-the-world collector (the v1 matrix).
-func LatencyPoints() []LatencyPoint {
-	return LatencyPointsGC([]string{""})
-}
-
 // LatencyPointsGC enumerates the sweep per collector mode: gc-mode × machine
 // × policy × offered load.
 func LatencyPointsGC(gcs []string) []LatencyPoint {
@@ -185,96 +177,43 @@ func LatencyPointsGC(gcs []string) []LatencyPoint {
 	return pts
 }
 
-// MeasureLatency runs the full sweep on a worker pool. Points are
-// independent deterministic simulations, so the virtual fields are identical
-// for any worker count; progress lines stream in completion order.
-func MeasureLatency(workers int, progress func(string)) []LatencyPoint {
-	return MeasureLatencyGC([]string{""}, workers, progress)
-}
-
 // MeasureLatencyGC runs the sweep over the given collector modes (see
-// GCModes); mode "" is the stop-the-world collector and reproduces the v1
-// points exactly.
+// GCModes) on workers sweep workers; mode "" is the stop-the-world
+// collector and reproduces the v1 points exactly.
 func MeasureLatencyGC(gcs []string, workers int, progress func(string)) []LatencyPoint {
 	pts := LatencyPointsGC(gcs)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve the machine/policy names on the calling goroutine: the sweep
-	// points are package constants, so a failure here is a programming
-	// error, and it must not fire inside a worker where nothing can
-	// recover it.
-	topos := make([]*numa.Topology, len(pts))
-	pols := make([]mempage.Policy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
+	runSweep(pts, workers, progress, func(pt *LatencyPoint) func() {
+		cfg := LatencyConfig(must(numa.Preset(pt.Machine)), must(mempage.ParsePolicy(pt.Policy)), pt.Threads)
+		cfg.ConcurrentGlobal = pt.GC == "concurrent"
+		rt := core.MustNewRuntime(cfg)
+		return func() {
+			res := workload.RunLatency(rt, LatencyOptionsFor(pt.MeanGapNs))
+			pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+			pt.Check = res.Check
+			pt.P50Ns, pt.P90Ns, pt.P99Ns, pt.P999Ns = res.P50, res.P90, res.P99, res.P999
+			pt.MeanNs = res.All.MeanNs
+			pt.GlobalMeanNs = res.All.Global.MeanNs
+			pt.LocalMeanNs = res.All.Local.MeanNs
+			pt.TailCount = res.Tail.Count
+			pt.TailMeanNs = res.Tail.MeanNs
+			pt.TailGlobalNs = res.Tail.Global.MeanNs
+			pt.TailLocalNs = res.Tail.Local.MeanNs
+			pt.TailGlobalMax = res.Tail.Global.MaxNs
+			pt.GlobalGCs = rt.Stats.GlobalGCs
+			// Zero under the stop-the-world collector; recorded (and
+			// compared) only when the concurrent machinery ran.
+			pt.MarkAssistWords = res.Stats.MarkAssistWords
+			pt.MarkAssistNs = res.Stats.MarkAssistNs
+			pt.BarrierHits = res.Stats.BarrierHits
+			pt.BarrierNs = res.Stats.BarrierNs
+			pt.SnapshotStwNs = rt.Stats.SnapshotNs
+			pt.TermStwNs = rt.Stats.TermNs
 		}
-		pol, err := mempage.ParsePolicy(pt.Policy)
-		if err != nil {
-			panic(err)
-		}
-		topos[i], pols[i] = topo, pol
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], pols[i], pt.Threads)
-				cfg.ConcurrentGlobal = pt.GC == "concurrent"
-				rt := core.MustNewRuntime(cfg)
-				start := time.Now()
-				res := workload.RunLatency(rt, LatencyOptionsFor(pt.MeanGapNs))
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.P50Ns, pt.P90Ns, pt.P99Ns, pt.P999Ns = res.P50, res.P90, res.P99, res.P999
-				pt.MeanNs = res.All.MeanNs
-				pt.GlobalMeanNs = res.All.Global.MeanNs
-				pt.LocalMeanNs = res.All.Local.MeanNs
-				pt.TailCount = res.Tail.Count
-				pt.TailMeanNs = res.Tail.MeanNs
-				pt.TailGlobalNs = res.Tail.Global.MeanNs
-				pt.TailLocalNs = res.Tail.Local.MeanNs
-				pt.TailGlobalMax = res.Tail.Global.MaxNs
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				// Zero under the stop-the-world collector; recorded (and
-				// compared) only when the concurrent machinery ran.
-				pt.MarkAssistWords = res.Stats.MarkAssistWords
-				pt.MarkAssistNs = res.Stats.MarkAssistNs
-				pt.BarrierHits = res.Stats.BarrierHits
-				pt.BarrierNs = res.Stats.BarrierNs
-				pt.SnapshotStwNs = rt.Stats.SnapshotNs
-				pt.TermStwNs = rt.Stats.TermNs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs, %s wall)",
-						pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3,
-						float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	}, func(pt *LatencyPoint) string {
+		return fmt.Sprintf("%s: p50 %.1fus p99.9 %.1fus tail-global %.1fus (%d global GCs)",
+			pt.Key(), float64(pt.P50Ns)/1e3, float64(pt.P999Ns)/1e3, float64(pt.TailGlobalNs)/1e3, pt.GlobalGCs)
+	})
 	return pts
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p LatencyPoint) VirtualEq(q LatencyPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
 }
 
 // RenderLatency formats the sweep as the text table gcbench prints: the

@@ -14,16 +14,9 @@ import (
 // any -j worker count — the same contract as the throughput sweeps, checked
 // point by point.
 func TestLatencySweepDeterministicAcrossWorkers(t *testing.T) {
-	serial := MeasureLatency(1, nil)
-	parallel := MeasureLatency(4, nil)
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].VirtualEq(parallel[i]) {
-			t.Errorf("%s differs across worker counts:\n  -j1: %+v\n  -j4: %+v", serial[i].Key(), serial[i], parallel[i])
-		}
-	}
+	checkAcrossWorkers(t, func(j int) ([]LatencyPoint, error) {
+		return MeasureLatencyGC([]string{""}, j, nil), nil
+	})
 }
 
 // TestLatencyTailDominatedByGlobalGC pins the sweep's acceptance property:

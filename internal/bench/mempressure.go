@@ -16,8 +16,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -77,13 +75,6 @@ func (p MempressurePoint) Key() string {
 		k += "+squeeze"
 	}
 	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p MempressurePoint) VirtualEq(q MempressurePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
 }
 
 // MempressureSweep configures which points MeasureMempressure runs. The
@@ -181,99 +172,46 @@ func MempressurePoints(sw MempressureSweep) []MempressurePoint {
 	return pts
 }
 
-// MeasureMempressure runs the sweep on a worker pool. Points are
-// independent deterministic simulations, so the virtual fields are
-// identical for any worker count; progress lines stream in completion
-// order.
+// MeasureMempressure runs the sweep on workers sweep workers.
 func MeasureMempressure(sw MempressureSweep, workers int, progress func(string)) []MempressurePoint {
 	pts := MempressurePoints(sw)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve names on the calling goroutine (see MeasureOverload).
-	topos := make([]*numa.Topology, len(pts))
-	adms := make([]workload.AdmissionPolicy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
+	runSweep(pts, workers, progress, func(pt *MempressurePoint) func() {
+		cfg := LatencyConfig(must(numa.Preset(pt.Machine)), mempage.PolicyLocal, pt.Threads)
+		cfg.GlobalBudgetChunks = pt.Budget
+		rt := core.MustNewRuntime(cfg)
+		opt := OverloadOptionsFor(pt.MeanGapNs)
+		opt.Admission = must(workload.ParseAdmission(pt.Admission))
+		if pt.SqueezeSeed != 0 {
+			// A fresh plan per run: InstallFaults arms pointers into the
+			// plan's event slice.
+			opt.Faults = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
 		}
-		adm, err := workload.ParseAdmission(pt.Admission)
-		if err != nil {
-			panic(err)
+		return func() {
+			res := workload.RunOverload(rt, opt)
+			pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+			pt.Check = res.Check
+			pt.WindowNs = res.WindowNs
+			pt.Offered = res.Offered
+			pt.Completed = res.Completed
+			pt.GoodSLO = res.GoodSLO
+			pt.Expired = res.Expired
+			pt.ShedAdmission = res.ShedAdmission
+			pt.ShedMemory = res.ShedMemory
+			pt.ShedFault = res.ShedFault
+			pt.Retries = res.Retries
+			pt.P50Ns, pt.P99Ns = res.P50, res.P99
+			mp := rt.MemPressure()
+			pt.GlobalGCs = rt.Stats.GlobalGCs
+			pt.EmergencyGCs = mp.EmergencyGCs
+			pt.AllocFailed = mp.AllocFailed
+			pt.Overdrafts = mp.Overdrafts
+			pt.SurvivedWords = mp.SurvivedWords
 		}
-		topos[i], adms[i] = topo, adm
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				cfg.GlobalBudgetChunks = pt.Budget
-				rt := core.MustNewRuntime(cfg)
-				opt := OverloadOptionsFor(pt.MeanGapNs)
-				opt.Admission = adms[i]
-				if pt.SqueezeSeed != 0 {
-					// A fresh plan per run: InstallFaults arms pointers
-					// into the plan's event slice.
-					opt.Faults = MempressureFaultPlan(pt.SqueezeSeed, pt.Threads)
-				}
-				start := time.Now()
-				res := workload.RunOverload(rt, opt)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.WindowNs = res.WindowNs
-				pt.Offered = res.Offered
-				pt.Completed = res.Completed
-				pt.GoodSLO = res.GoodSLO
-				pt.Expired = res.Expired
-				pt.ShedAdmission = res.ShedAdmission
-				pt.ShedMemory = res.ShedMemory
-				pt.ShedFault = res.ShedFault
-				pt.Retries = res.Retries
-				pt.P50Ns, pt.P99Ns = res.P50, res.P99
-				mp := rt.MemPressure()
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				pt.EmergencyGCs = mp.EmergencyGCs
-				pt.AllocFailed = mp.AllocFailed
-				pt.Overdrafts = mp.Overdrafts
-				pt.SurvivedWords = mp.SurvivedWords
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d (%s wall)",
-						pt.Key(), mpGoodputRate(*pt), mpSLOShare(*pt)*100,
-						pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	}, func(pt *MempressurePoint) string {
+		return fmt.Sprintf("%s: goodput %.2f/us slo %.0f%% shedmem %d emerg %d allocfail %d",
+			pt.Key(), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100, pt.ShedMemory, pt.EmergencyGCs, pt.AllocFailed)
+	})
 	return pts
-}
-
-// mpGoodputRate is the goodput in SLO-meeting requests per virtual
-// microsecond of makespan — the figure's y axis.
-func mpGoodputRate(p MempressurePoint) float64 {
-	if p.VirtualMs == 0 {
-		return 0
-	}
-	return float64(p.GoodSLO) / (p.VirtualMs * 1e3)
-}
-
-// mpSLOShare is the fraction of offered load completed within deadline.
-func mpSLOShare(p MempressurePoint) float64 {
-	return float64(p.GoodSLO) / float64(p.Offered)
 }
 
 // RenderMempressure formats the sweep as the text table gcbench prints.
@@ -302,7 +240,7 @@ func RenderMempressure(sw MempressureSweep, pts []MempressurePoint) string {
 	us := func(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-40s %10.2f %5.0f%% %9d %8d %8d %8d %7d %9d %9d %10s\n",
-			p.Key(), mpGoodputRate(p), mpSLOShare(p)*100,
+			p.Key(), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.ShedMemory,
 			p.EmergencyGCs, p.AllocFailed, p.Overdrafts, us(p.P99Ns))
 	}

@@ -11,17 +11,9 @@ import "testing"
 func TestMempressureSweepDeterministicAcrossWorkers(t *testing.T) {
 	sw := DefaultMempressureSweep()
 	sw.Budgets = []int{0, 16}
-	serial := MeasureMempressure(sw, 1, nil)
-	parallel := MeasureMempressure(sw, 4, nil)
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].VirtualEq(parallel[i]) {
-			t.Errorf("%s differs across worker counts:\n  -j1: %+v\n  -j4: %+v",
-				serial[i].Key(), serial[i], parallel[i])
-		}
-	}
+	serial := checkAcrossWorkers(t, func(j int) ([]MempressurePoint, error) {
+		return MeasureMempressure(sw, j, nil), nil
+	})
 
 	// The figure's pinned story at the tightest budget, on both machines:
 	// the budget-blind policy reaches the wall (emergency ladders, failed

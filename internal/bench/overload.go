@@ -14,8 +14,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mempage"
@@ -66,13 +64,6 @@ func (p OverloadPoint) Key() string {
 		k += "+faults"
 	}
 	return k
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p OverloadPoint) VirtualEq(q OverloadPoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
 }
 
 // OverloadLoad is one offered-load level: the per-client mean inter-arrival
@@ -178,80 +169,37 @@ func OverloadPoints(sw OverloadSweep) []OverloadPoint {
 	return pts
 }
 
-// MeasureOverload runs the sweep on a worker pool. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count; progress lines stream in completion order.
+// MeasureOverload runs the sweep on workers sweep workers.
 func MeasureOverload(sw OverloadSweep, workers int, progress func(string)) []OverloadPoint {
 	pts := OverloadPoints(sw)
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve machine and policy names on the calling goroutine: the sweep
-	// points come from package constants or validated flags, so a failure
-	// here is a programming error, and it must not fire inside a worker
-	// where nothing can recover it.
-	topos := make([]*numa.Topology, len(pts))
-	adms := make([]workload.AdmissionPolicy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			panic(err)
+	runSweep(pts, workers, progress, func(pt *OverloadPoint) func() {
+		rt := core.MustNewRuntime(LatencyConfig(must(numa.Preset(pt.Machine)), mempage.PolicyLocal, pt.Threads))
+		opt := OverloadOptionsFor(pt.MeanGapNs)
+		opt.Admission = must(workload.ParseAdmission(pt.Admission))
+		if pt.FaultSeed != 0 {
+			// A fresh plan per run: InstallFaults arms pointers into the
+			// plan's event slice, so concurrent points must not share one.
+			opt.Faults = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
 		}
-		adm, err := workload.ParseAdmission(pt.Admission)
-		if err != nil {
-			panic(err)
+		return func() {
+			res := workload.RunOverload(rt, opt)
+			pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+			pt.Check = res.Check
+			pt.WindowNs = res.WindowNs
+			pt.Offered = res.Offered
+			pt.Completed = res.Completed
+			pt.GoodSLO = res.GoodSLO
+			pt.Expired = res.Expired
+			pt.ShedAdmission = res.ShedAdmission
+			pt.ShedFault = res.ShedFault
+			pt.Retries = res.Retries
+			pt.P50Ns, pt.P99Ns = res.P50, res.P99
+			pt.GlobalGCs = rt.Stats.GlobalGCs
 		}
-		topos[i], adms[i] = topo, adm
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := LatencyConfig(topos[i], mempage.PolicyLocal, pt.Threads)
-				rt := core.MustNewRuntime(cfg)
-				opt := OverloadOptionsFor(pt.MeanGapNs)
-				opt.Admission = adms[i]
-				if pt.FaultSeed != 0 {
-					// A fresh plan per run: InstallFaults arms pointers into
-					// the plan's event slice, so concurrent points must not
-					// share one.
-					opt.Faults = OverloadFaultPlan(pt.FaultSeed, pt.Threads)
-				}
-				start := time.Now()
-				res := workload.RunOverload(rt, opt)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				pt.WindowNs = res.WindowNs
-				pt.Offered = res.Offered
-				pt.Completed = res.Completed
-				pt.GoodSLO = res.GoodSLO
-				pt.Expired = res.Expired
-				pt.ShedAdmission = res.ShedAdmission
-				pt.ShedFault = res.ShedFault
-				pt.Retries = res.Retries
-				pt.P50Ns, pt.P99Ns = res.P50, res.P99
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d (%s wall)",
-						pt.Key(), offeredRate(*pt), goodputRate(*pt), sloShare(*pt)*100,
-						pt.ShedAdmission+pt.ShedFault, pt.Retries, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	}, func(pt *OverloadPoint) string {
+		return fmt.Sprintf("%s: offered %.2f/us goodput %.2f/us slo %.0f%% shed %d retries %d",
+			pt.Key(), offeredRate(*pt), goodputRate(pt.GoodSLO, pt.VirtualMs), share(pt.GoodSLO, pt.Offered)*100, pt.ShedAdmission+pt.ShedFault, pt.Retries)
+	})
 	return pts
 }
 
@@ -265,18 +213,20 @@ func offeredRate(p OverloadPoint) float64 {
 }
 
 // goodputRate is the goodput in SLO-meeting requests per virtual
-// microsecond of actual makespan — the figure's y axis.
-func goodputRate(p OverloadPoint) float64 {
-	if p.VirtualMs == 0 {
+// microsecond of actual makespan — the serving figures' y axis.
+func goodputRate(good int, virtualMs float64) float64 {
+	if virtualMs == 0 {
 		return 0
 	}
-	return float64(p.GoodSLO) / (p.VirtualMs * 1e3)
+	return float64(good) / (virtualMs * 1e3)
 }
 
-// sloShare is the fraction of the offered load that completed within its
-// deadline — SLO attainment.
-func sloShare(p OverloadPoint) float64 {
-	return float64(p.GoodSLO) / float64(p.Offered)
+// share is a safe ratio for render-time percentages.
+func share(num, den int) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // RenderOverload formats the sweep as the text table gcbench prints:
@@ -297,7 +247,7 @@ func RenderOverload(pts []OverloadPoint) string {
 			faults = fmt.Sprintf("%#x", p.FaultSeed)
 		}
 		fmt.Fprintf(&b, "%-36s %10.2f %10.2f %5.0f%% %9d %9d %9d %9d %8s %10s %10s\n",
-			p.Key(), offeredRate(p), goodputRate(p), sloShare(p)*100,
+			p.Key(), offeredRate(p), goodputRate(p.GoodSLO, p.VirtualMs), share(p.GoodSLO, p.Offered)*100,
 			p.Completed, p.Expired, p.ShedAdmission+p.ShedFault, p.Retries, faults, us(p.P50Ns), us(p.P99Ns))
 	}
 	return b.String()

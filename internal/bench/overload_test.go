@@ -17,16 +17,9 @@ func TestOverloadSweepDeterministicAcrossWorkers(t *testing.T) {
 		Admissions: []workload.AdmissionPolicy{workload.AdmitQueue, workload.AdmitDeadline},
 		FaultSeed:  OverloadFaultSeed,
 	}
-	serial := MeasureOverload(sw, 1, nil)
-	parallel := MeasureOverload(sw, 4, nil)
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].VirtualEq(parallel[i]) {
-			t.Errorf("%s differs across worker counts:\n  -j1: %+v\n  -j4: %+v", serial[i].Key(), serial[i], parallel[i])
-		}
-	}
+	checkAcrossWorkers(t, func(j int) ([]OverloadPoint, error) {
+		return MeasureOverload(sw, j, nil), nil
+	})
 }
 
 // TestOverloadGracefulDegradation pins the sweep's acceptance property on
@@ -44,11 +37,11 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	top := map[string]float64{}
 	for _, p := range pts {
 		k := p.Machine + "/" + p.Admission
-		if g := goodputRate(p); g > peak[k] {
+		if g := goodputRate(p.GoodSLO, p.VirtualMs); g > peak[k] {
 			peak[k] = g
 		}
 		if p.Load == "4x" {
-			top[k] = goodputRate(p)
+			top[k] = goodputRate(p.GoodSLO, p.VirtualMs)
 		}
 	}
 	for _, m := range []string{"amd48", "intel32"} {

@@ -14,10 +14,7 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/mempage"
 	"repro/internal/numa"
 	"repro/internal/workload"
@@ -51,13 +48,6 @@ type ScalePoint struct {
 // Key identifies the point's configuration.
 func (p ScalePoint) Key() string {
 	return fmt.Sprintf("%s %s %s p=%d", p.Machine, p.Policy, p.Benchmark, p.Threads)
-}
-
-// VirtualEq reports whether two points' virtual (deterministic) fields are
-// bit-identical; wall time is host noise and excluded.
-func (p ScalePoint) VirtualEq(q ScalePoint) bool {
-	p.WallNs, q.WallNs = 0, 0
-	return p == q
 }
 
 // ScaleSweep configures which points MeasureScale runs. The zero value is
@@ -113,74 +103,32 @@ func ScalePoints(sw ScaleSweep) ([]ScalePoint, error) {
 	return pts, nil
 }
 
-// MeasureScale runs the sweep on a worker pool. Points are independent
-// deterministic simulations, so the virtual fields are identical for any
-// worker count; progress lines stream in completion order.
+// MeasureScale runs the sweep on workers sweep workers; an unknown machine
+// or benchmark fails before any simulation starts.
 func MeasureScale(sw ScaleSweep, workers int, progress func(string)) ([]ScalePoint, error) {
 	pts, err := ScalePoints(sw)
 	if err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Resolve names on the calling goroutine (see MeasureOverload).
-	topos := make([]*numa.Topology, len(pts))
-	pols := make([]mempage.Policy, len(pts))
-	for i, pt := range pts {
-		topo, err := numa.Preset(pt.Machine)
-		if err != nil {
-			return nil, err
+	runSweep(pts, workers, progress, func(pt *ScalePoint) func() {
+		spec := must(workload.ByName(pt.Benchmark))
+		rt := kernelRuntime(must(numa.Preset(pt.Machine)), must(mempage.ParsePolicy(pt.Policy)), pt.Threads, 0)
+		return func() {
+			res := spec.Run(rt, pt.Scale)
+			pt.VirtualMs = float64(res.ElapsedNs) / 1e6
+			pt.Check = res.Check
+			st := rt.Machine.Stats()
+			pt.LocalBytes = st.BytesByPath[numa.PathLocal]
+			pt.SamePkgBytes = st.BytesByPath[numa.PathSamePackage]
+			pt.RemoteBytes = st.BytesByPath[numa.PathRemote]
+			pt.FarBytes = st.BytesByPath[numa.PathFar]
+			pt.CacheBytes = st.CacheBytes
+			pt.Accesses = st.Accesses
+			pt.GlobalGCs = rt.Stats.GlobalGCs
 		}
-		pol, err := mempage.ParsePolicy(pt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		topos[i], pols[i] = topo, pol
-	}
-	jobs := make(chan int)
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pt := &pts[i]
-				cfg := core.DefaultConfig(topos[i], pt.Threads)
-				cfg.Policy = pols[i]
-				rt := core.MustNewRuntime(cfg)
-				spec, err := workload.ByName(pt.Benchmark)
-				if err != nil {
-					panic(err) // validated by ScalePoints
-				}
-				start := time.Now()
-				res := spec.Run(rt, pt.Scale)
-				pt.WallNs = time.Since(start).Nanoseconds()
-				pt.VirtualMs = float64(res.ElapsedNs) / 1e6
-				pt.Check = res.Check
-				st := rt.Machine.Stats()
-				pt.LocalBytes = st.BytesByPath[numa.PathLocal]
-				pt.SamePkgBytes = st.BytesByPath[numa.PathSamePackage]
-				pt.RemoteBytes = st.BytesByPath[numa.PathRemote]
-				pt.FarBytes = st.BytesByPath[numa.PathFar]
-				pt.CacheBytes = st.CacheBytes
-				pt.Accesses = st.Accesses
-				pt.GlobalGCs = rt.Stats.GlobalGCs
-				if progress != nil {
-					progressMu.Lock()
-					progress(fmt.Sprintf("%s: %.3f ms virtual, far %.0f%% of DRAM traffic (%s wall)",
-						pt.Key(), pt.VirtualMs, farShare(*pt)*100, time.Duration(pt.WallNs)))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	}, func(pt *ScalePoint) string {
+		return fmt.Sprintf("%s: %.3f ms virtual, far %.0f%% of DRAM traffic", pt.Key(), pt.VirtualMs, farShare(*pt)*100)
+	})
 	return pts, nil
 }
 

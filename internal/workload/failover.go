@@ -286,14 +286,11 @@ func (b *foBreaker) trip(now int64) {
 // foState is the harness's host-side bookkeeping; all mutation happens in
 // engine-serialized task code.
 type foState struct {
-	opt  FailoverOptions
-	seed uint64
-
-	arrival [][]int64 // scheduled arrival instants
-	words   [][]int   // payload words
-	acc     []uint64  // per-client commutative resolution fold
-	done    [][]bool  // request resolved exactly-once guard
-	hedgeTo [][]int   // hedge target replica per request, -1 if none sent
+	arrivalPlan
+	opt     FailoverOptions
+	acc     []uint64 // per-client commutative resolution fold
+	done    [][]bool // request resolved exactly-once guard
+	hedgeTo [][]int  // hedge target replica per request, -1 if none sent
 
 	homes    []int // replica home vproc IDs
 	lanes    []*core.Channel
@@ -318,37 +315,6 @@ type foState struct {
 	lostPost       int
 	hist           Hist
 	horizon        int64
-}
-
-// foPlan draws every arrival instant and payload shape up front (same
-// stream discipline as the overload harness, so a failover point's offered
-// load matches an overload point's at equal options).
-func foPlan(seed uint64, opt FailoverOptions) *foState {
-	st := &foState{opt: opt, seed: seed, unresolved: opt.Clients * opt.Requests}
-	st.arrival = make([][]int64, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
-	st.done = make([][]bool, opt.Clients)
-	st.hedgeTo = make([][]int, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
-		st.done[c] = make([]bool, opt.Requests)
-		st.hedgeTo[c] = make([]int, opt.Requests)
-		for r := range st.hedgeTo[c] {
-			st.hedgeTo[c][r] = -1
-		}
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			_, words := srvRequestShape(rng)
-			st.words[c][r] = words
-		}
-	}
-	return st
 }
 
 // deadline is request (c, r)'s absolute deadline.
@@ -453,7 +419,7 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 		// shortest interval that can change the answer.
 		st.fastFails++
 		st.retries++
-		vp.AfterThen(foBackoff(st, c, r, attempt+1), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoff(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 		return
@@ -474,14 +440,7 @@ func foAttempt(vp *core.VProc, st *foState, c, r, attempt int) {
 // flight (a reply handler should park); false means the attempt already
 // rerouted, backed off, or resolved.
 func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1] = uint64(c), uint64(r)
-	for i := 2; i < words; i++ {
-		buf[i] = rng.next()
-	}
-	a, ast := vp.TryAllocRaw(buf)
+	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
 	if ast != core.AllocOK {
 		st.shedMemory++
 		st.acc[c] += fnv1a(fnv1a(foTagMemory, uint64(r)), uint64(attempt))
@@ -497,7 +456,7 @@ func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
 	case core.SendFull:
 		st.breakers[rep].failure(vp.Now(), st.opt.BreakerThreshold)
 		st.retries++
-		vp.AfterThen(foBackoff(st, c, r, attempt+1), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoff(c, r, attempt+1, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			foAttempt(vp, st, c, r, attempt+1)
 		})
 	case core.SendCrashed, core.SendClosed:
@@ -509,17 +468,6 @@ func foSend(vp *core.VProc, st *foState, c, r, attempt, rep int) bool {
 		foAttempt(vp, st, c, r, attempt+1)
 	}
 	return false
-}
-
-// foBackoff is the capped exponential backoff with per-(request, attempt)
-// seeded jitter — the overload harness's discipline with failover's cap.
-func foBackoff(st *foState, c, r, attempt int) int64 {
-	base := st.opt.RetryBaseNs << uint(attempt-1)
-	if base > st.opt.RetryCapNs || base <= 0 {
-		base = st.opt.RetryCapNs
-	}
-	j := newRand(fnv1a(latReqSeed(st.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.next()%uint64(base))
 }
 
 // foAwaitReply parks a reply handler with the per-attempt timeout. A
@@ -598,14 +546,7 @@ func foHedge(vp *core.VProc, st *foState, c, r, primary int) {
 	if rep < 0 {
 		return
 	}
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1] = uint64(c), uint64(r)
-	for i := 2; i < words; i++ {
-		buf[i] = rng.next()
-	}
-	a, ast := vp.TryAllocRaw(buf)
+	a, ast := vp.TryAllocRaw(st.payload(c, r, 2))
 	if ast != core.AllocOK {
 		return // the primary attempt still carries the request
 	}
@@ -651,17 +592,16 @@ func foServe(vp *core.VProc, st *foState, rep int) {
 	})
 }
 
-// foCrashPlan builds the harness's crash plan against the resolved homes,
-// returning the plan (nil for CrashNone), the crashed-board ID (or -1), and
-// validating that the fault can never take the coordinator down.
-func foCrashPlan(rt *core.Runtime, st *foState) (*core.FaultPlan, int) {
+// foCrashPlan builds the harness's crash plan against the resolved homes
+// (nil for CrashNone), validating that the fault can never take the
+// coordinator down.
+func foCrashPlan(rt *core.Runtime, st *foState) *core.FaultPlan {
 	opt := st.opt
 	switch opt.Crash {
 	case CrashNone:
-		return nil, -1
+		return nil
 	case CrashVProc:
-		target := st.homes[len(st.homes)-1]
-		return (&core.FaultPlan{}).CrashAt(target, opt.CrashNs), -1
+		return (&core.FaultPlan{}).CrashAt(st.homes[len(st.homes)-1], opt.CrashNs)
 	case CrashBoard:
 		topo := rt.Cfg.Topo
 		if topo.Boards() < 2 {
@@ -670,7 +610,7 @@ func foCrashPlan(rt *core.Runtime, st *foState) (*core.FaultPlan, int) {
 		keep := topo.BoardOfNode(rt.VProcs[0].Node)
 		for _, home := range st.homes {
 			if b := topo.BoardOfNode(rt.VProcs[home].Node); b != keep {
-				return (&core.FaultPlan{}).CrashBoardAt(b, opt.CrashNs), b
+				return (&core.FaultPlan{}).CrashBoardAt(b, opt.CrashNs)
 			}
 		}
 		panic("workload: CrashBoard found no replica home off the coordinator's board (need Replicas >= 2)")
@@ -709,7 +649,21 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		panic("workload: failover needs at least 2 vprocs (vproc 0 is the never-crashed coordinator)")
 	}
 
-	st := foPlan(rt.Cfg.Seed, opt)
+	st := &foState{
+		arrivalPlan: planArrivals(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs),
+		opt:         opt,
+		acc:         make([]uint64, opt.Clients),
+		done:        make([][]bool, opt.Clients),
+		hedgeTo:     make([][]int, opt.Clients),
+		unresolved:  opt.Clients * opt.Requests,
+	}
+	for c := range st.done {
+		st.done[c] = make([]bool, opt.Requests)
+		st.hedgeTo[c] = make([]int, opt.Requests)
+		for r := range st.hedgeTo[c] {
+			st.hedgeTo[c][r] = -1
+		}
+	}
 	st.homes = foHomes(rt, opt.Replicas)
 	st.lanes = make([]*core.Channel, opt.Replicas)
 	st.breakers = make([]foBreaker, opt.Replicas)
@@ -725,7 +679,7 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		}
 	}
 
-	crashPlan, crashedBoard := foCrashPlan(rt, st)
+	crashPlan := foCrashPlan(rt, st)
 	faults := opt.Faults
 	if crashPlan != nil {
 		// Copy before extending: InstallFaults arms pointers into the event
@@ -744,13 +698,7 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 	// arrival, plus its full deadline budget, plus one attempt timeout (a
 	// handler parked just before the deadline), plus slack for the final
 	// callback's own charges.
-	var lastArrival int64
-	for c := range st.arrival {
-		if t := st.arrival[c][opt.Requests-1]; t > lastArrival {
-			lastArrival = t
-		}
-	}
-	st.horizon = lastArrival + opt.DeadlineNs + opt.AttemptNs + 20_000
+	st.horizon = st.window + opt.DeadlineNs + opt.AttemptNs + 20_000
 
 	elapsed := rt.Run(func(vp *core.VProc) {
 		// Termination watchdog, owned by vproc 0 (never a crash target):
@@ -775,26 +723,19 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		})
 		for rep := 0; rep < opt.Replicas; rep++ {
 			for s := 0; s < opt.ServersPerReplica; s++ {
-				rep := rep
 				vp.Spawn(func(svp *core.VProc, _ core.Env) {
 					foServe(svp, st, rep)
 				})
 			}
 		}
 		for c := 0; c < opt.Clients; c++ {
-			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
 				foArm(cvp, st, c, 0)
 			})
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
 	res := FailoverResult{
-		Result:         Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
 		Offered:        opt.Clients * opt.Requests,
 		Completed:      st.completed,
 		GoodSLO:        st.goodSLO,
@@ -807,16 +748,16 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 		HedgeWins:      st.hedgeWins,
 		FastFails:      st.fastFails,
 		LateReplies:    st.lateReplies,
-		Crashes:        rt.TotalStats().Crashes,
 		GoodPre:        st.goodPre,
 		GoodPost:       st.goodPost,
 		LostPre:        st.lostPre,
 		LostPost:       st.lostPost,
-		WindowNs:       lastArrival,
+		WindowNs:       st.window,
 		HorizonNs:      st.horizon,
 		Hist:           st.hist,
 	}
-	_ = crashedBoard
+	res.Result, res.P50, res.P99 = servingTail(rt, elapsed, st.acc, &res.Hist)
+	res.Crashes = res.Stats.Crashes
 	for _, b := range st.breakers {
 		res.BreakerTrips += b.trips
 	}
@@ -829,8 +770,6 @@ func RunFailover(rt *core.Runtime, opt FailoverOptions) FailoverResult {
 			}
 		}
 	}
-	res.P50 = res.Hist.Quantile(50, 100)
-	res.P99 = res.Hist.Quantile(99, 100)
 	if got := res.Completed + res.FailedDeadline + res.LostClient + res.ShedMemory; got != res.Offered {
 		panic(fmt.Sprintf("workload: failover accounting leak: %d resolved of %d offered", got, res.Offered))
 	}

@@ -103,60 +103,13 @@ type LatencyResult struct {
 // latState is the harness's host-side bookkeeping. All mutation happens in
 // engine-serialized task code, so plain slices suffice.
 type latState struct {
+	arrivalPlan
 	opt     LatencyOptions
-	seed    uint64
-	arrival [][]int64 // scheduled send instants
-	large   [][]bool  // request lane
-	words   [][]int   // payload words
 	end     [][]int64 // completion instants (0 = not yet replied)
 	acc     []uint64  // per-client commutative reply fold
 	small   *core.Channel
 	largeCh *core.Channel
 	replies []*core.Channel
-}
-
-// latClientSeed derives the per-client arrival/shape stream seed.
-func latClientSeed(seed uint64, c int) uint64 {
-	return seed ^ uint64(c+1)*0xBF58476D1CE4E5B9
-}
-
-// latReqSeed derives the per-request payload stream seed, so a request's
-// contents can be regenerated at send time without replaying the client
-// stream.
-func latReqSeed(seed uint64, c, r int) uint64 {
-	return fnv1a(fnv1a(seed, uint64(c)), uint64(r)) | 1
-}
-
-// planLatency draws every arrival instant and request shape up front from
-// the seeded per-client streams: the offered load is a pure function of
-// (seed, options), independent of anything the runtime does — the open-loop
-// contract.
-func planLatency(seed uint64, opt LatencyOptions) *latState {
-	st := &latState{opt: opt, seed: seed}
-	st.arrival = make([][]int64, opt.Clients)
-	st.large = make([][]bool, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.end = make([][]int64, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.large[c] = make([]bool, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
-		st.end[c] = make([]int64, opt.Requests)
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			// Uniform jitter in [mean/2, 3*mean/2): a deterministic
-			// integer-only arrival process with the configured mean.
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			lane, words := srvRequestShape(rng)
-			st.large[c][r] = lane == 1
-			st.words[c][r] = words
-		}
-	}
-	return st
 }
 
 // latArm schedules client c's request r at its planned arrival instant and
@@ -169,18 +122,11 @@ func latArm(vp *core.VProc, st *latState, c, r int) {
 		return
 	}
 	vp.AtThen(st.arrival[c][r], nil, func(vp *core.VProc, _ core.Env) {
-		rng := newRand(latReqSeed(st.seed, c, r))
-		words := st.words[c][r]
-		buf := make([]uint64, words)
-		buf[0], buf[1] = uint64(c), uint64(r)
-		for i := 2; i < words; i++ {
-			buf[i] = rng.next()
-		}
 		dst := st.small
-		if st.large[c][r] {
+		if st.words[c][r] >= srvLargeMin {
 			dst = st.largeCh
 		}
-		a := vp.AllocRaw(buf)
+		a := vp.AllocRaw(st.payload(c, r, 2))
 		s := vp.PushRoot(a)
 		dst.Send(vp, s)
 		vp.PopRoots(1)
@@ -212,12 +158,17 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	if opt.Clients < 1 || opt.Requests < 1 || opt.MeanGapNs < 2 {
 		panic(fmt.Sprintf("workload: bad latency options %+v", opt))
 	}
-	st := planLatency(rt.Cfg.Seed, opt)
-	st.small = rt.NewChannel()
-	st.largeCh = rt.NewChannel()
-	st.replies = make([]*core.Channel, opt.Clients)
-	for i := range st.replies {
-		st.replies[i] = rt.NewChannel()
+	st := &latState{
+		arrivalPlan: planArrivals(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs),
+		opt:         opt,
+		end:         make([][]int64, opt.Clients),
+		acc:         make([]uint64, opt.Clients),
+		small:       rt.NewChannel(),
+		largeCh:     rt.NewChannel(),
+		replies:     newChannels(rt, opt.Clients),
+	}
+	for c := range st.end {
+		st.end[c] = make([]int64, opt.Requests)
 	}
 
 	// Record the GC event timeline for attribution, chaining any tracer the
@@ -256,7 +207,6 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 			})
 		}
 		for c := 0; c < opt.Clients; c++ {
-			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
 				latCollect(cvp, st, c, st.opt.Requests)
 				latArm(cvp, st, c, 0)
@@ -264,14 +214,7 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
-	res := LatencyResult{
-		Result:   Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
-		Requests: total,
-	}
+	res := LatencyResult{Requests: total}
 
 	// Latencies: completion minus *scheduled* arrival.
 	type reqSpan struct{ start, end int64 }
@@ -285,9 +228,8 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 			res.Hist.Record(st.end[c][r] - st.arrival[c][r])
 		}
 	}
-	res.P50 = res.Hist.Quantile(50, 100)
+	res.Result, res.P50, res.P99 = servingTail(rt, elapsed, st.acc, &res.Hist)
 	res.P90 = res.Hist.Quantile(90, 100)
-	res.P99 = res.Hist.Quantile(99, 100)
 	res.P999 = res.Hist.Quantile(999, 1000)
 
 	// Attribution: intersect request lifetimes with the collection-phase
@@ -435,7 +377,7 @@ func LatencySeq(seed uint64, opt LatencyOptions) uint64 {
 		rng := newRand(latClientSeed(seed, c))
 		var acc uint64
 		for r := 0; r < opt.Requests; r++ {
-			rng.next() // the gap draw; keeps the stream aligned with planLatency
+			rng.next() // the gap draw; keeps the stream aligned with planArrivals
 			_, words := srvRequestShape(rng)
 			req := newRand(latReqSeed(seed, c, r))
 			var sum uint64

@@ -22,7 +22,7 @@ import (
 // offered load.
 //
 // Determinism: arrivals, payloads, and retry jitter are drawn from seeded
-// per-client/per-request streams; all bookkeeping mutates in
+// per-client/per-request streams (openloop.go); all bookkeeping mutates in
 // engine-serialized task code. Two runs with the same options are
 // bit-identical at any host worker count. Unlike the throughput and latency
 // checksums, the overload checksum is NOT vproc-count-invariant: whether a
@@ -214,12 +214,9 @@ const (
 // ovState is the harness's host-side bookkeeping; all mutation happens in
 // engine-serialized task code.
 type ovState struct {
-	opt  OverloadOptions
-	seed uint64
-
-	arrival [][]int64 // scheduled arrival instants
-	words   [][]int   // payload words
-	acc     []uint64  // per-client commutative resolution fold
+	arrivalPlan
+	opt OverloadOptions
+	acc []uint64 // per-client commutative resolution fold
 
 	lane    *core.Channel
 	replies []*core.Channel
@@ -238,30 +235,6 @@ type ovState struct {
 	// occupancy signal sits between the watermarks on the way down.
 	// Mutated only in engine-serialized task code.
 	memShedding bool
-}
-
-// ovPlan draws every arrival instant and payload shape up front, exactly
-// like planLatency (same stream discipline: one gap draw, then the shape
-// draws), so the offered load is a pure function of (seed, options).
-func ovPlan(seed uint64, opt OverloadOptions) *ovState {
-	st := &ovState{opt: opt, seed: seed, unresolved: opt.Clients * opt.Requests}
-	st.arrival = make([][]int64, opt.Clients)
-	st.words = make([][]int, opt.Clients)
-	st.acc = make([]uint64, opt.Clients)
-	for c := 0; c < opt.Clients; c++ {
-		rng := newRand(latClientSeed(seed, c))
-		st.arrival[c] = make([]int64, opt.Requests)
-		st.words[c] = make([]int, opt.Requests)
-		var t int64
-		for r := 0; r < opt.Requests; r++ {
-			gap := opt.MeanGapNs/2 + int64(rng.next()%uint64(opt.MeanGapNs))
-			t += gap
-			st.arrival[c][r] = t
-			_, words := srvRequestShape(rng)
-			st.words[c][r] = words
-		}
-	}
-	return st
 }
 
 // deadline is request (c, r)'s absolute deadline.
@@ -330,13 +303,8 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 		st.resolve()
 		return
 	}
-	words := st.words[c][r]
-	rng := newRand(latReqSeed(st.seed, c, r))
-	buf := make([]uint64, words)
-	buf[0], buf[1], buf[2] = uint64(c), uint64(r), uint64(st.deadline(c, r))
-	for i := 3; i < words; i++ {
-		buf[i] = rng.next()
-	}
+	buf := st.payload(c, r, 3)
+	buf[2] = uint64(st.deadline(c, r))
 	a, ast := vp.TryAllocRaw(buf)
 	if ast != core.AllocOK {
 		st.shedMemory++
@@ -359,7 +327,7 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 			return
 		}
 		st.retries++
-		vp.AfterThen(ovBackoff(st, c, r, next), nil, func(vp *core.VProc, _ core.Env) {
+		vp.AfterThen(st.backoff(c, r, next, st.opt.RetryBaseNs, st.opt.RetryCapNs), nil, func(vp *core.VProc, _ core.Env) {
 			ovAttempt(vp, st, c, r, next)
 		})
 	case core.SendClosed:
@@ -367,19 +335,6 @@ func ovAttempt(vp *core.VProc, st *ovState, c, r, attempt int) {
 		st.acc[c] += fnv1a(fnv1a(ovTagFault, uint64(r)), 0)
 		st.resolve()
 	}
-}
-
-// ovBackoff is attempt's capped exponential backoff with jitter in
-// [base/2, 3*base/2), drawn from a per-(request, attempt) seeded stream —
-// randomized enough to de-synchronize retry herds, deterministic enough to
-// replay bit-identically.
-func ovBackoff(st *ovState, c, r, attempt int) int64 {
-	base := st.opt.RetryBaseNs << uint(attempt-1)
-	if base > st.opt.RetryCapNs {
-		base = st.opt.RetryCapNs
-	}
-	j := newRand(fnv1a(latReqSeed(st.seed, c, r), uint64(attempt)) | 1)
-	return base/2 + int64(j.next()%uint64(base))
 }
 
 // ovAwaitReply parks one reply handler for client c. Replies carry the
@@ -432,16 +387,18 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 		panic(fmt.Sprintf("workload: LaneCloseNs %d not before the earliest possible arrival %d", opt.LaneCloseNs, opt.MeanGapNs/2))
 	}
 
-	st := ovPlan(rt.Cfg.Seed, opt)
+	st := &ovState{
+		arrivalPlan: planArrivals(rt.Cfg.Seed, opt.Clients, opt.Requests, opt.MeanGapNs),
+		opt:         opt,
+		acc:         make([]uint64, opt.Clients),
+		unresolved:  opt.Clients * opt.Requests,
+	}
 	if opt.Admission == AdmitNone {
 		st.lane = rt.NewChannel()
 	} else {
 		st.lane = rt.NewMailbox(opt.MailboxCap)
 	}
-	st.replies = make([]*core.Channel, opt.Clients)
-	for i := range st.replies {
-		st.replies[i] = rt.NewChannel()
-	}
+	st.replies = newChannels(rt, opt.Clients)
 	faults := opt.Faults
 	if opt.LaneCloseNs > 0 {
 		// Copy the caller's plan before extending it: InstallFaults arms
@@ -466,19 +423,13 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 			})
 		}
 		for c := 0; c < opt.Clients; c++ {
-			c := c
 			vp.Spawn(func(cvp *core.VProc, _ core.Env) {
 				ovArm(cvp, st, c, 0)
 			})
 		}
 	})
 
-	var check uint64
-	for _, a := range st.acc {
-		check = fnv1a(check, a)
-	}
 	res := OverloadResult{
-		Result:        Result{ElapsedNs: elapsed, Check: check, Stats: rt.TotalStats()},
 		Offered:       opt.Clients * opt.Requests,
 		Completed:     st.completed,
 		GoodSLO:       st.goodSLO,
@@ -487,17 +438,10 @@ func RunOverload(rt *core.Runtime, opt OverloadOptions) OverloadResult {
 		ShedFault:     st.shedFault,
 		ShedMemory:    st.shedMemory,
 		Retries:       st.retries,
+		WindowNs:      st.window,
 		Hist:          st.hist,
 	}
-	for c := range st.arrival {
-		for _, t := range st.arrival[c] {
-			if t > res.WindowNs {
-				res.WindowNs = t
-			}
-		}
-	}
-	res.P50 = res.Hist.Quantile(50, 100)
-	res.P99 = res.Hist.Quantile(99, 100)
+	res.Result, res.P50, res.P99 = servingTail(rt, elapsed, st.acc, &res.Hist)
 	if got := res.Completed + res.Expired + res.ShedAdmission + res.ShedFault + res.ShedMemory; got != res.Offered {
 		panic(fmt.Sprintf("workload: overload accounting leak: %d resolved of %d offered", got, res.Offered))
 	}

@@ -150,3 +150,25 @@ func TestOverloadFaultStressGCPressure(t *testing.T) {
 		t.Errorf("heap invariants after faulted overload run: %v", err)
 	}
 }
+
+// TestRetryBackoffBounded: the shared retry backoff stays in (0, 3*cap/2)
+// for every attempt count either harness can reach. RunOverload accepts any
+// MaxRetries >= 0, and an unguarded base << (attempt-1) overflows int64
+// from attempt 51 at the default 10 us base: a huge delay, then a negative
+// one, then a zero base that panics the jitter's modulo.
+func TestRetryBackoffBounded(t *testing.T) {
+	ov, fo := DefaultOverloadOptions(1.0), DefaultFailoverOptions(1.0)
+	plan := planArrivals(1, 3, 2, ov.MeanGapNs)
+	for _, o := range []struct {
+		name          string
+		baseNs, capNs int64
+	}{{"overload", ov.RetryBaseNs, ov.RetryCapNs}, {"failover", fo.RetryBaseNs, fo.RetryCapNs}} {
+		for attempt := 1; attempt <= 70; attempt++ {
+			for c := 0; c < 3; c++ {
+				if d := plan.backoff(c, 1, attempt, o.baseNs, o.capNs); d <= 0 || d >= 3*o.capNs/2 {
+					t.Fatalf("%s: attempt %d of client %d backs off %d ns, want in (0, %d)", o.name, attempt, c, d, 3*o.capNs/2)
+				}
+			}
+		}
+	}
+}
