@@ -37,3 +37,27 @@ func TestEngineWorkCounters(t *testing.T) {
 		t.Errorf("engine counters %+v, want %+v", got, want)
 	}
 }
+
+// TestEngineWorkCountersServing pins the same counters for the LATENCY_v2
+// point amd48 local p=48 concurrent low-load: a serving run whose engine
+// cost is dominated by handoffs between vprocs (the concurrent mark keeps
+// idle vprocs polling instead of parked), so a change to how the token
+// moves between procs must leave every count here untouched.
+func TestEngineWorkCountersServing(t *testing.T) {
+	topo, err := numa.Preset("amd48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := LatencyConfig(topo, mempage.PolicyLocal, 48)
+	cfg.ConcurrentGlobal = true
+	rt := core.MustNewRuntime(cfg)
+	res := workload.RunLatency(rt, LatencyOptionsFor(400_000))
+	if res.ElapsedNs != 3103541 || res.Check != 7349150747183390776 {
+		t.Fatalf("makespan %d ns, check %d; want 3103541, 7349150747183390776 (LATENCY_v2: 3.103541 virtual ms)",
+			res.ElapsedNs, res.Check)
+	}
+	want := vtime.Stats{InlineTurns: 38542, Handoffs: 66236, Parks: 842, Wakes: 12918}
+	if got := rt.Eng.Stats(); got != want {
+		t.Errorf("engine counters %+v, want %+v", got, want)
+	}
+}

@@ -140,7 +140,7 @@ func (vp *VProc) globalSnapshot() {
 // gcAssist drains gray to-space data in direct style (each evacuation and
 // chunk fetch is its own engine charge), stopping at an object boundary once
 // at least budget words have been scanned or no reachable gray work remains.
-// Runs only on the vproc's own goroutine. Returns the words scanned.
+// Runs only on the vproc's own coroutine. Returns the words scanned.
 func (vp *VProc) gcAssist(budget int) int {
 	rt := vp.rt
 	start := vp.Now()
@@ -226,7 +226,7 @@ func (vp *VProc) gcMarkPoint() {
 // off-machine: gray data it can reach (its own current chunk or the scan
 // lists), or a fully drained mark that needs its termination requested. It
 // is called from inside the idle sweep's step function, so it only reads
-// state mutated by goroutine-bound vprocs and writes nothing.
+// state mutated by coroutine-bound vprocs and writes nothing.
 func (vp *VProc) gcMarkAttention() bool {
 	g := &vp.rt.global
 	if !g.marking || g.termPending {
@@ -246,7 +246,7 @@ func (vp *VProc) gcMarkAttention() bool {
 	return vp.rt.globalScanDrained()
 }
 
-// gcMarkIdle runs mark work on an idle vproc's own goroutine: drain
+// gcMarkIdle runs mark work on an idle vproc's own coroutine: drain
 // everything reachable, then request termination if the mark is done.
 func (vp *VProc) gcMarkIdle() {
 	rt := vp.rt

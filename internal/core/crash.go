@@ -56,7 +56,7 @@ import (
 type vprocCrashed struct{}
 
 // crash executes the FaultCrash: it runs on the dying vproc's own
-// goroutine, at a checkPreempt site (so the vproc holds no collection or
+// coroutine, at a checkPreempt site (so the vproc holds no collection or
 // promotion locks and is not inside a barrier), performs the advance-free
 // cleanup, and never returns.
 func (vp *VProc) crash() {

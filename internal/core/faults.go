@@ -13,7 +13,7 @@ import "fmt"
 // fireDueTimers — the pop site can be inside an engine step function
 // (sweep, SleepUntil) where advancing and allocating are illegal. The
 // event queues on vp.pendingFaults and checkPreempt drains it on the
-// vproc's own goroutine, which is a legal context for both. The deferral
+// vproc's own coroutine, which is a legal context for both. The deferral
 // does not cost exactness beyond a task's normal wakeup jitter: the idle
 // machines exit with sweepFault at the deadline instant, and a busy vproc
 // notices at its next loop-top — the same latency a timer continuation has.
@@ -312,7 +312,7 @@ func (rt *Runtime) installCrash(i int, e *FaultEvent, crashTargets map[int]bool)
 }
 
 // runPendingFaults drains the deferred fault events in FIFO order on the
-// vproc's own goroutine. The inFault guard stops re-entry: a stall's
+// vproc's own coroutine. The inFault guard stops re-entry: a stall's
 // SleepFor services checkPreempt, which would otherwise start draining the
 // remaining events recursively (and a burst's allocations reach safepoints
 // whose timer pops can append more).

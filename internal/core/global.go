@@ -365,7 +365,7 @@ func (vp *VProc) globalCopy(a heap.Addr, h uint64, dst *heap.Chunk) (heap.Addr, 
 // pointers into from-space (§3.4: "scans the vproc's roots and local heap,
 // placing any objects pointed-to into this new to-space chunk"). The walk
 // normally runs as a step-driven iterator (stepscan.go) so the N vprocs'
-// finely interleaved copy charges cost inline steps, not goroutine
+// finely interleaved copy charges cost inline steps, not coroutine
 // handoffs; the NoStepKernels ablation forces the direct form, which is
 // schedule-identical.
 //

@@ -197,7 +197,7 @@ func (vp *VProc) idleResume() int {
 	return int(r / s)
 }
 
-// idleExit runs on the vproc's own goroutine when it leaves the idle
+// idleExit runs on the vproc's own coroutine when it leaves the idle
 // machine (at the instant of its final turn): victims it was designated to
 // observe, and is not about to steal from, pass to their next observer.
 func (vp *VProc) idleExit(victim *VProc) {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 
@@ -297,23 +295,20 @@ func TestIdleParkingScenarios(t *testing.T) {
 // TestOrphanedReceiveDeadlocks runs a program whose only outstanding work
 // is a continuation on a channel nobody will send to. Every vproc ends up
 // idle with nothing that could wake it, which the engine must report as a
-// deadlock instead of polling forever. The panic unwinds a vproc goroutine,
-// so the program runs in a subprocess.
+// deadlock instead of polling forever. The report is a panic out of rt.Run.
 func TestOrphanedReceiveDeadlocks(t *testing.T) {
-	if os.Getenv("CORE_ORPHANED_RECEIVE") == "1" {
-		rt := MustNewRuntime(stressConfig(2))
+	rt := MustNewRuntime(stressConfig(2))
+	got := func() (r any) {
+		defer func() { r = recover() }()
 		rt.Run(func(vp *VProc) {
 			rt.NewChannel().RecvThen(vp, nil, func(*VProc, Env, heap.Addr) {})
 		})
-		os.Exit(0) // unreachable when the deadlock is detected
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("orphaned receive returned normally")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestOrphanedReceiveDeadlocks$")
-	cmd.Env = append(os.Environ(), "CORE_ORPHANED_RECEIVE=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("orphaned receive returned normally:\n%s", out)
-	}
-	if !strings.Contains(string(out), "vtime: deadlock") {
-		t.Fatalf("orphaned receive failed without a deadlock report (%v):\n%s", err, out)
+	if !strings.Contains(fmt.Sprint(got), "vtime: deadlock") {
+		t.Fatalf("orphaned receive panicked without a deadlock report: %v", got)
 	}
 }

@@ -300,7 +300,7 @@ func (vp *VProc) stealFrom(victim *VProc) *Task {
 }
 
 // Idle-sweep outcomes: what the engine-stepped idle machine observed, to be
-// acted on by the vproc's own goroutine at the same virtual instant.
+// acted on by the vproc's own coroutine at the same virtual instant.
 const (
 	sweepSteal     = iota // a victim with a stealable task
 	sweepRunLocal         // own queue became non-empty
@@ -315,7 +315,7 @@ const (
 
 // sweep runs the vproc's steal-probe machine — and, unless oneShot, the
 // whole idle cycle of poll ticks and loop-top preemption/work checks —
-// inside the engine's inline-step path, parking the goroutine until
+// inside the engine's inline-step path, parking the coroutine until
 // something to act on is observed. The charge/observe sequence is exactly
 // that of the same loops built on plain Advance: probes charge
 // StealAttemptNs before observing each victim, a failed sweep charges
@@ -334,7 +334,7 @@ const (
 // (trySteal's contract).
 //
 // The machine enters at sweep-start: the caller has already performed the
-// current iteration's loop-top checks on its own goroutine.
+// current iteration's loop-top checks on its own coroutine.
 //
 // Turns that cannot observe anything are skipped, and a machine with
 // nothing to wait for but other vprocs' writes parks off the engine's ready
@@ -342,7 +342,7 @@ const (
 // FailedSteals, are those of the turn-by-turn machine.
 //
 // Firing a due timer happens off-machine: the step exits with sweepTimer at
-// the exact deadline instant, the timer fires on the vproc's own goroutine,
+// the exact deadline instant, the timer fires on the vproc's own coroutine,
 // and the machine re-enters at its loop top at the same instant — the same
 // charge/observe sequence as firing inline, since firing only enqueues (it
 // cannot complete joins, raise preemption, or zero limits).
@@ -358,7 +358,7 @@ func (vp *VProc) sweep(join *Task, oneShot bool) (outcome int, victim *VProc) {
 		}
 		if k < 0 {
 			// Loop top, reached after a poll charge: the same checks
-			// the goroutine loop performs between iterations.
+			// the direct loop performs between iterations.
 			if join != nil && join.done {
 				outcome = sweepJoinDone
 				return 0, true
@@ -528,7 +528,7 @@ func (vp *VProc) ServiceScheduler() {
 // schedulerLoop drives the vproc until the runtime has no outstanding
 // tasks. Every iteration is a safepoint for pending global collections.
 // Idle iterations (steal sweeps and poll ticks) run through idleSweep, so
-// an idle vproc costs the engine inline step calls, not goroutine handoffs.
+// an idle vproc costs the engine inline step calls, not coroutine handoffs.
 func (vp *VProc) schedulerLoop() {
 	rt := vp.rt
 	for {

@@ -12,7 +12,7 @@ import (
 // The stop-the-world scan is where all N vprocs interleave chunk-by-chunk:
 // every copy, chunk fetch, and poll is its own engine charge, and with the
 // direct (Advance-based) loops nearly every charge crosses the horizon and
-// costs a goroutine handoff. The machines below are the direct loops
+// costs a coroutine handoff. The machines below are the direct loops
 // (global.go: globalScanRootsDirect, globalScanLoopDirect) transcribed into
 // resumable form for vtime.Proc.StepWhile: each turn executes the direct
 // code from one engine charge to the next — performing the same state
@@ -20,7 +20,7 @@ import (
 // contract the schedule is bit-identical (each turn runs at exactly the
 // virtual instant its proc would have been scheduled); only the stack it
 // runs on changes, so a 48-proc scan phase executes on a handful of
-// goroutines.
+// coroutines.
 //
 // The decomposition leans on three mutate/charge splits in the runtime:
 //

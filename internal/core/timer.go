@@ -194,7 +194,7 @@ func (vp *VProc) SleepFor(d int64) {
 // channel wait it does not run queued tasks — it is asleep, not idle; its
 // queue remains stealable. The vproc resumes exactly at deadline (or later
 // only if a collection it had to serve ran past it), stepping through the
-// engine's inline path so a long sleep costs function calls, not goroutine
+// engine's inline path so a long sleep costs function calls, not coroutine
 // handoffs.
 func (vp *VProc) SleepUntil(deadline int64) {
 	for {

@@ -56,7 +56,7 @@ type VProc struct {
 	// which have not executed yet: fireDueTimers can run inside engine step
 	// functions where advancing and allocating are illegal, so it defers
 	// fault bodies here and checkPreempt drains them on the vproc's own
-	// goroutine (see faults.go). inFault guards re-entry — a stall fault
+	// coroutine (see faults.go). inFault guards re-entry — a stall fault
 	// sleeping through checkPreempt must not start draining recursively.
 	pendingFaults []*FaultEvent
 	inFault       bool
@@ -480,7 +480,7 @@ func (vp *VProc) ObjectLen(a heap.Addr) int { return vp.rt.Space.ObjectLen(vp.re
 
 // RunSteps drives fn through the engine's inline-step path (see
 // vtime.Proc.StepWhile): fn is invoked at every virtual instant this vproc
-// is scheduled — possibly on another vproc's goroutine — and returns the
+// is scheduled — possibly on another vproc's coroutine — and returns the
 // duration to charge before its next turn, or done. fn must confine itself
 // to observing and mutating simulation state; it must not call engine
 // scheduling primitives (Compute, the allocators, Promote, channel

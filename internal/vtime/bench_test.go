@@ -14,8 +14,8 @@ func BenchmarkAdvanceFastPath(b *testing.B) {
 }
 
 // BenchmarkAdvanceCrossing measures the slow path where every advance
-// crosses the horizon and hands the token to another goroutine. Each
-// reported op includes n goroutine handoffs.
+// crosses the horizon and hands the token to another proc's coroutine.
+// Each reported op includes n handoffs.
 func benchAdvanceCrossing(b *testing.B, n int) {
 	e := NewEngine(n)
 	e.Run(func(p *Proc) {
@@ -58,12 +58,12 @@ func BenchmarkAdvanceOverSteppers48(b *testing.B) { benchAdvanceOverSteppers(b, 
 
 // BenchmarkHandoff and BenchmarkInlineStep are the canonical pair tracking
 // the cost ratio the step conversions exploit: the same two-proc lockstep
-// schedule resolved by goroutine token handoffs versus by inline steps.
+// schedule resolved by coroutine token handoffs versus by inline steps.
 // Each op is one scheduling turn; Handoff/InlineStep is the per-turn win of
 // step-converting a hot loop.
 
 // BenchmarkHandoff: both procs advance in direct style, so every Advance
-// crosses the horizon and transfers the token to the other goroutine.
+// crosses the horizon and transfers the token to the other coroutine.
 func BenchmarkHandoff(b *testing.B) { benchAdvanceCrossing(b, 2) }
 
 // BenchmarkInlineStep: the second proc is parked in StepWhile, so its turns

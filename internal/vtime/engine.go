@@ -1,21 +1,27 @@
+//go:build go1.23
+
 // Package vtime provides a deterministic virtual-time execution engine.
 //
-// Each virtual processor runs as a goroutine, but execution is serialized by
-// a token: at any moment exactly one proc executes "user" code, and the token
-// is always handed to the ready proc with the smallest virtual clock (ties
-// broken by proc ID). This makes every simulation run fully deterministic
-// regardless of the Go scheduler, while letting runtime and workload code be
-// written in ordinary direct style. All modelled work is charged through
-// Advance, whose call sites double as the safepoints of the simulated
-// runtime.
+// Each virtual processor runs as a coroutine (iter.Pull), but execution is
+// serialized by a token: at any moment exactly one proc executes "user"
+// code, and the token is always handed to the ready proc with the smallest
+// virtual clock (ties broken by proc ID). This makes every simulation run
+// fully deterministic regardless of the Go scheduler, while letting runtime
+// and workload code be written in ordinary direct style. All modelled work
+// is charged through Advance, whose call sites double as the safepoints of
+// the simulated runtime.
 //
 // # Engine internals: single-writer discipline, horizon, ready-heap, steps
 //
 // The engine needs no mutex. All scheduler state (clocks, states, the ready
-// heap, the horizon) is mutated only by the current token holder, and the
-// token moves between goroutines over a channel, whose send/receive pair
-// publishes every preceding write to the next holder. Four performance
-// ideas are layered on that discipline:
+// heap, the horizon) is mutated only by the current token holder, and every
+// proc is a coroutine driven by the goroutine that called Run: a proc
+// handing the token on records the scheduling decision's next proc and
+// yields, and Run's dispatcher loop resumes that proc's coroutine. A
+// handoff is thus a pair of direct coroutine switches, which order every
+// write before the next holder's reads, with no channel, no wakeup and no
+// trip through the Go scheduler. Four performance ideas are layered on
+// that discipline:
 //
 //   - Horizon fast path. Whenever the token changes hands (and whenever a
 //     proc joins the ready set), the engine caches the smallest ready key
@@ -26,7 +32,7 @@
 //     the ready set through the holder's own Wake/barrier-release calls,
 //     which refresh the horizon). Advance therefore degenerates to a plain
 //     local add plus one comparison while the new clock stays below the
-//     horizon — no lock, no scan, no channel operation.
+//     horizon — no scan and no coroutine switch.
 //
 //   - Ready min-heap. Ready procs other than the token holder sit in a
 //     binary min-heap keyed on (clock, ID), so every reschedule, block, and
@@ -35,10 +41,10 @@
 //   - Inline steps. A proc whose next actions are a pure observe-and-charge
 //     loop (idle polling, steal probing, spin waits) can suspend into a step
 //     function via StepWhile. While parked, its turns are executed inline by
-//     whichever goroutine holds the token: scheduling the proc calls the
-//     step function instead of performing a goroutine handoff. In idle-heavy
-//     phases this collapses the token ping-pong between pollers into plain
-//     function calls — the dominant wall-clock cost of the naive engine.
+//     whichever proc holds the token: scheduling the proc calls the step
+//     function instead of performing a handoff. In idle-heavy phases this
+//     collapses the token ping-pong between pollers into plain function
+//     calls — the dominant wall-clock cost of the naive engine.
 //
 //   - Parked procs. A step function whose next turns cannot observe
 //     anything new need not take them: it may return a longer charge that
@@ -64,10 +70,10 @@
 package vtime
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // State is the scheduling state of a Proc.
@@ -88,11 +94,16 @@ type Proc struct {
 	eng   *Engine
 	clock int64
 	state State
-	token chan struct{}
+
+	// resume runs the proc's coroutine until it next hands the token on;
+	// stop unwinds a suspended one (see Engine.Run); yield, called from
+	// inside the coroutine, suspends it back to the dispatcher.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
 	// step, when non-nil, is the suspended proc's inline scheduler: the
-	// token holder calls it in place of a goroutine handoff (see
-	// StepWhile).
+	// token holder calls it in place of a handoff (see StepWhile).
 	step func() (int64, bool)
 
 	// hidx is the proc's index in the ready heap, or -1 when it is not in
@@ -115,7 +126,8 @@ type Stats struct {
 	// InlineTurns counts step-function calls made by dispatch on behalf
 	// of a suspended proc (turns that cost a call, not a handoff).
 	InlineTurns int64
-	// Handoffs counts goroutine handoffs of the execution token.
+	// Handoffs counts transfers of the execution token from one proc's
+	// coroutine to another's: one per dispatcher resume.
 	Handoffs int64
 	// Parks counts step results of Park; Wakes counts WakeAt calls that
 	// moved a proc's next turn earlier (re-inserting a parked proc or
@@ -127,13 +139,17 @@ type Stats struct {
 // Engine coordinates a fixed set of procs.
 type Engine struct {
 	procs []*Proc
-	wg    sync.WaitGroup
-	// started is set once Run has handed out the first token.
-	started atomic.Bool
+	// started is set once Run is called; stopping once Run is unwinding
+	// the procs' coroutines on its way out.
+	started, stopping bool
+	// next is the proc the dispatcher resumes once the running coroutine
+	// yields or returns: the scheduling decision of the last handoff, or
+	// nil when every proc is Done.
+	next *Proc
 
 	// ready is the binary min-heap of Ready procs, keyed on (clock, ID),
 	// excluding the current token holder. Only the token holder touches
-	// it; the token handoff channel publishes the writes.
+	// it.
 	ready []*Proc
 
 	// horizonClock/horizonID cache ready[0]'s key (the next-smallest
@@ -144,7 +160,7 @@ type Engine struct {
 	horizonClock int64
 	horizonID    int
 
-	// running is the proc whose code is executing: the goroutine holding
+	// running is the proc whose code is executing: the coroutine holding
 	// the token, or the proc whose step function dispatch is calling.
 	running *Proc
 
@@ -162,7 +178,6 @@ func NewEngine(n int) *Engine {
 			ID:    i,
 			eng:   e,
 			state: Ready,
-			token: make(chan struct{}, 1),
 			hidx:  -1,
 		})
 	}
@@ -175,21 +190,29 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 // Proc returns the i'th proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
+// errStopped unwinds a suspended proc whose coroutine Run is stopping.
+var errStopped = errors.New("vtime: proc stopped")
+
 // Run executes body on every proc and returns when all procs are Done.
-// It may be called once per engine.
+// It may be called once per engine. Each proc's body runs as a coroutine
+// driven by the calling goroutine, so a panic in any body (a deadlock
+// report included) propagates out of Run with its original value, after
+// the other procs' coroutines have been unwound.
 func (e *Engine) Run(body func(p *Proc)) {
-	if e.started.Swap(true) {
+	if e.started {
 		panic("vtime: Run called twice")
 	}
+	e.started = true
 	for _, p := range e.procs {
-		e.wg.Add(1)
-		go func(p *Proc) {
-			defer e.wg.Done()
-			p.await() // wait to be scheduled for the first time
+		p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			body(p)
-			p.finish()
-		}(p)
+			if !e.stopping {
+				p.finish()
+			}
+		})
 	}
+	defer e.stopAll()
 	// Seed the ready heap with procs 1..n-1 (all clocks zero, so ID order
 	// is already a valid heap) and hand the token to the initial minimum,
 	// proc 0.
@@ -199,16 +222,39 @@ func (e *Engine) Run(body func(p *Proc)) {
 	}
 	e.refreshHorizon()
 	e.procs[0].grant()
-	e.wg.Wait()
+	// The dispatcher: every handoff returns here, with the running proc
+	// suspended in await (or finished) and next already chosen.
+	for e.next != nil {
+		p := e.next
+		e.next = nil
+		e.stats.Handoffs++
+		p.resume()
+	}
 }
 
-// grant hands the token to p (who must be the scheduling decision's next
-// proc), waking its goroutine. The channel send publishes all engine state
-// written by the granter. Pairs with await.
+// stopAll unwinds every proc coroutine still suspended, so none outlives
+// Run: its pending await panics with errStopped, which is recovered here.
+// After a normal Run every coroutine has returned and this is a no-op.
+func (e *Engine) stopAll() {
+	e.stopping = true
+	for _, p := range e.procs {
+		func() {
+			defer func() {
+				if r := recover(); r != nil && r != errStopped {
+					panic(r)
+				}
+			}()
+			p.stop()
+		}()
+	}
+}
+
+// grant hands the token to p, who must be the scheduling decision's next
+// proc: the dispatcher resumes it once the granter yields (await) or
+// returns (finish).
 func (p *Proc) grant() {
-	p.eng.stats.Handoffs++
 	p.eng.running = p
-	p.token <- struct{}{}
+	p.eng.next = p
 }
 
 // Running returns the proc whose code is executing — the token holder, or
@@ -221,9 +267,13 @@ func (e *Engine) Running() *Proc { return e.running }
 // called while Run is executing procs.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// await takes the token, parking until granted.
+// await suspends the proc's coroutine until the dispatcher resumes it with
+// the token. A false yield means Run is stopping the coroutine instead; it
+// unwinds with errStopped.
 func (p *Proc) await() {
-	<-p.token
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // --- Ready-heap primitives (caller is the token holder) -------------------
@@ -320,10 +370,10 @@ func (e *Engine) refreshHorizon() {
 	e.horizonID = e.ready[0].ID
 }
 
-// dispatch drives the simulation forward until a goroutine handoff is due:
+// dispatch drives the simulation forward until a handoff is due:
 // while the minimum ready proc is suspended in a step function, its turns
 // are executed inline on the caller's stack (a turn returning Park takes the
-// proc out of the heap); the first minimum that needs its own goroutine (no
+// proc out of the heap); the first minimum that needs its own coroutine (no
 // step function, or its step function just reported done) is popped and
 // returned. Returns nil when no proc is ready and every proc is Done; a
 // proc still Blocked or parked with nothing ready to wake it is a deadlock
@@ -345,7 +395,7 @@ func (e *Engine) dispatch() *Proc {
 			return next
 		}
 		// Inline turn: next is the minimum, so this is exactly the
-		// virtual instant its goroutine would have been scheduled.
+		// virtual instant its coroutine would have been scheduled.
 		e.stats.InlineTurns++
 		d, done := next.step()
 		if done {
@@ -421,7 +471,7 @@ func (p *Proc) Advance(d int64) {
 	p.clock = c
 	next := e.ready[0]
 	if next.step == nil {
-		// Common case: the new minimum runs on its own goroutine. Swap
+		// Common case: the new minimum runs on its own coroutine. Swap
 		// places with it directly — it takes the token, we take its
 		// heap slot — saving a separate push + pop. (Heap extraction
 		// order depends only on the key set, never on layout, so this
@@ -436,7 +486,7 @@ func (p *Proc) Advance(d int64) {
 	}
 	// The minimum is parked in a step function: rejoin the ready set and
 	// dispatch; if every intervening proc runs inline, the token never
-	// leaves this goroutine.
+	// leaves this coroutine.
 	e.heapPush(p)
 	next = e.dispatch()
 	if next == p {
@@ -448,10 +498,10 @@ func (p *Proc) Advance(d int64) {
 
 // StepWhile suspends the proc into an inline scheduling loop: fn is invoked
 // at every virtual instant the proc is scheduled — possibly on another
-// proc's goroutine — and returns the duration to charge before its next
-// turn, or done to resume normal execution. StepWhile returns on the proc's
-// own goroutine, holding the token, at the exact virtual instant of the
-// final fn call; no virtual time passes between that call and the return.
+// proc's stack — and returns the duration to charge before its next turn,
+// or done to resume normal execution. StepWhile returns on the proc's own
+// stack, holding the token, at the exact virtual instant of the final fn
+// call; no virtual time passes between that call and the return.
 //
 // StepWhile(fn) is semantically identical to
 //
@@ -464,7 +514,7 @@ func (p *Proc) Advance(d int64) {
 //	}
 //
 // but turns that interleave with other suspended pollers cost a function
-// call instead of a goroutine handoff. fn must confine itself to observing
+// call instead of a handoff. fn must confine itself to observing
 // and mutating simulation state and must not call engine scheduling
 // primitives (Advance, Block, Wake, Barrier.Arrive) — it runs astride them.
 //
@@ -499,7 +549,7 @@ func (p *Proc) StepWhile(fn func() (d int64, done bool)) {
 		next := e.dispatch()
 		if next == p {
 			// dispatch ran fn inline until it reported done (and
-			// cleared p.step); the token never left this goroutine.
+			// cleared p.step); the token never left this coroutine.
 			return
 		}
 		next.grant()
@@ -571,7 +621,8 @@ func (p *Proc) Wake(q *Proc) {
 	// at the waker's next Advance/Block.
 }
 
-// finish marks the proc Done and passes the token on.
+// finish marks the proc Done and passes the token on; the coroutine then
+// returns to the dispatcher with next already set.
 func (p *Proc) finish() {
 	p.state = Done
 	p.eng.handoffFrom(p)

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -334,7 +335,7 @@ func TestStepWhileMatchesAdvanceLoop(t *testing.T) {
 
 // TestStepWhileInline checks that a parked stepper's turns execute at the
 // correct virtual instants while another proc advances past it, and that
-// the stepper resumes on its own goroutine at the instant its step function
+// the stepper resumes on its own stack at the instant its step function
 // reports done.
 func TestStepWhileInline(t *testing.T) {
 	e := NewEngine(2)
@@ -405,4 +406,44 @@ func TestStepWhileImmediateDone(t *testing.T) {
 			t.Errorf("proc %d: step called %d times, want 1", p.ID, calls)
 		}
 	})
+}
+
+// TestProcPanicReachesRun: a panic in one proc's body propagates out of Run
+// on the caller's goroutine with its original value, and Run first unwinds
+// every other proc — blocked and parked in a step function alike — running
+// their deferred calls, so no coroutine outlives it. A body that swallows
+// the unwinding must not resume scheduling: proc 0's finish would report
+// proc 3 as deadlocked in place of the original panic.
+func TestProcPanicReachesRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(4)
+	var unwound atomic.Int32
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run(func(p *Proc) {
+			defer unwound.Add(1)
+			switch p.ID {
+			case 0:
+				defer func() { _ = recover() }()
+				p.Block() // never woken
+			case 1:
+				p.StepWhile(func() (int64, bool) { return Park, false })
+			case 2:
+				p.Advance(10)
+				panic("proc 2 failed")
+			default:
+				p.Block()
+			}
+		})
+		return nil
+	}()
+	if got != "proc 2 failed" {
+		t.Fatalf("Run panicked with %v, want the proc's own value", got)
+	}
+	if n := unwound.Load(); n != 4 {
+		t.Errorf("%d procs ran their deferred calls, want 4", n)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before Run, %d after", before, after)
+	}
 }

@@ -10,8 +10,8 @@ import (
 // identical clock traces, final clocks and final private state whether
 // each wait loop parks via StepWhile or runs as the plain Advance loop
 // StepWhile's doc says it equals. Spin loops of random lengths interleave
-// inline turns with goroutine handoffs; poll loops observe shared flags
-// written by goroutine-bound procs, so an inline turn scheduled at the
+// inline turns with coroutine handoffs; poll loops observe shared flags
+// written by coroutine-bound procs, so an inline turn scheduled at the
 // wrong virtual instant would see a different flag value and diverge.
 //
 // Parked pollers skip their failed polls altogether: after each failed
@@ -68,7 +68,7 @@ type progResult struct {
 }
 
 // runProgram executes one random program. All trace appends happen on the
-// proc's own goroutine, never inside a step function, so their order is
+// proc's own stack, never inside a step function, so their order is
 // exactly the engine's schedule.
 func runProgram(seed uint64, useStep bool) progResult {
 	setup := progRng(seed)

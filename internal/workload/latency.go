@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -245,24 +247,47 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 	// solely to count distinct collections per band. In STW mode the cycle
 	// IS the stall and no window events exist, so the sets coincide and
 	// the accounting is unchanged.
-	var globals, locals, cycles []span
 	concurrent := rt.Cfg.ConcurrentGlobal
-	for _, ev := range events {
-		switch ev.Kind {
+	classify := func(k core.EventKind) (cycle, global, local bool) {
+		switch k {
 		case core.EvGlobalEnd:
-			cycles = append(cycles, span{ev.At - ev.Ns, ev.At})
-			if !concurrent {
-				globals = append(globals, span{ev.At - ev.Ns, ev.At})
-			}
+			return true, !concurrent, false
 		case core.EvSnapshot, core.EvTermination:
-			globals = append(globals, span{ev.At - ev.Ns, ev.At})
+			return false, true, false
 		case core.EvMinor, core.EvMajor, core.EvPromote:
-			locals = append(locals, span{ev.At - ev.Ns, ev.At})
+			return false, false, true
+		}
+		return false, false, false
+	}
+	// Size the coverage sets exactly: a serving run logs tens of thousands
+	// of local collections.
+	var nGlobal, nLocal int
+	for _, ev := range events {
+		_, g, l := classify(ev.Kind)
+		if g {
+			nGlobal++
+		}
+		if l {
+			nLocal++
 		}
 	}
-	globalSet := newSpanSet(globals)
+	var cycles []span
+	globalSet, localSet := newCoverage(nGlobal), newCoverage(nLocal)
+	for _, ev := range events {
+		c, g, l := classify(ev.Kind)
+		if c {
+			cycles = append(cycles, span{ev.At - ev.Ns, ev.At})
+		}
+		if g {
+			globalSet.add(ev.At-ev.Ns, ev.At)
+		}
+		if l {
+			localSet.add(ev.At-ev.Ns, ev.At)
+		}
+	}
+	globalSet.build()
+	localSet.build()
 	cycleSet := newSpanSet(cycles)
-	localSet := newSpanSet(locals)
 	nv := int64(rt.Cfg.NumVProcs)
 
 	band := func(minLat int64) AttributionBand {
@@ -276,18 +301,18 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 			}
 			b.Count++
 			latSum += lat
-			g := globalSet.overlap(s.start, s.end, nil)
+			g := globalSet.overlap(s.start, s.end)
 			// Collections are counted over the cycle spans, which in STW
 			// mode are exactly the stall spans: a request "saw" a
 			// collection if its lifetime intersects the cycle, whether or
 			// not it intersected a concurrent cycle's STW windows.
-			cycleSet.overlap(s.start, s.end, func(iv span) {
+			cycleSet.visit(s.start, s.end, func(iv span) {
 				if !seenGlobals[iv] {
 					seenGlobals[iv] = true
 					b.GlobalGCs++
 				}
 			})
-			l := localSet.overlap(s.start, s.end, nil) / nv
+			l := localSet.overlap(s.start, s.end) / nv
 			gSum += g
 			lSum += l
 			if g > b.Global.MaxNs {
@@ -312,12 +337,75 @@ func RunLatency(rt *core.Runtime, opt LatencyOptions) LatencyResult {
 // span is a half-open virtual-time interval [lo, hi).
 type span struct{ lo, hi int64 }
 
-// spanSet answers interval-overlap queries over a fixed set of spans. The
-// spans are sorted by lo; because spans from different vprocs may nest (a
-// long major collection on one vproc straddles several minors on another),
-// hi is not monotone in that order, so queries seek via a prefix-maximum of
-// hi — the earliest index whose prefix already contains a span ending after
-// the query start.
+// coverage answers summed-overlap queries over a fixed multiset of spans.
+// The spans' summed overlap with [start, end) is the integral of their
+// coverage count (how many spans contain t) over that interval, so the set
+// is kept as its distinct endpoints in order, each with the integral up to
+// it, and a query costs two binary searches however many spans it meets.
+type coverage []coverStep
+
+// coverStep is one endpoint of a coverage set: sum is the coverage
+// integral over (-inf, at). Before build, sum holds the endpoint's +1/-1.
+type coverStep struct{ at, sum int64 }
+
+// newCoverage returns an empty coverage set with room for n spans.
+func newCoverage(n int) coverage { return make(coverage, 0, 2*n) }
+
+// add records the span [lo, hi); an empty span covers nothing.
+func (c *coverage) add(lo, hi int64) {
+	if hi > lo {
+		*c = append(*c, coverStep{lo, 1}, coverStep{hi, -1})
+	}
+}
+
+// build turns the recorded endpoints into the prefix integral, merging
+// coincident endpoints in place. Call it once, after the last add.
+func (c *coverage) build() {
+	ev := *c
+	slices.SortFunc(ev, func(a, b coverStep) int { return cmp.Compare(a.at, b.at) })
+	var count, sum int64
+	w := 0
+	for r := 0; r < len(ev); w++ {
+		x := ev[r].at
+		if w > 0 {
+			sum += count * (x - ev[w-1].at)
+		}
+		for ; r < len(ev) && ev[r].at == x; r++ {
+			count += ev[r].sum
+		}
+		ev[w] = coverStep{x, sum}
+	}
+	*c = ev[:w]
+}
+
+// integral returns the coverage integral over (-inf, t). Between two
+// endpoints the coverage is constant, so the integral is linear there and
+// its slope divides exactly; past the last endpoint the coverage is zero.
+func (c coverage) integral(t int64) int64 {
+	k := sort.Search(len(c), func(i int) bool { return c[i].at > t })
+	switch k {
+	case 0:
+		return 0
+	case len(c):
+		return c[k-1].sum
+	}
+	a, b := c[k-1], c[k]
+	return a.sum + (b.sum-a.sum)/(b.at-a.at)*(t-a.at)
+}
+
+// overlap sums the spans' overlap with [start, end).
+func (c coverage) overlap(start, end int64) int64 {
+	if end <= start {
+		return 0
+	}
+	return c.integral(end) - c.integral(start)
+}
+
+// spanSet enumerates the spans of a fixed set that overlap a query
+// interval. The spans are sorted by lo; because spans from different vprocs
+// may nest, hi is not monotone in that order, so queries seek via a
+// prefix-maximum of hi — the earliest index whose prefix already contains a
+// span ending after the query start.
 type spanSet struct {
 	ivs   []span
 	maxhi []int64 // maxhi[i] = max(ivs[:i+1].hi)
@@ -341,27 +429,15 @@ func newSpanSet(ivs []span) spanSet {
 	return spanSet{ivs: ivs, maxhi: maxhi}
 }
 
-// overlap sums the spans' overlap with [start, end); visit, when non-nil, is
-// called once per overlapping span.
-func (s spanSet) overlap(start, end int64, visit func(span)) int64 {
+// visit calls fn once per span whose overlap with [start, end) is
+// non-empty.
+func (s spanSet) visit(start, end int64, fn func(span)) {
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.maxhi[i] > start })
-	var sum int64
 	for ; i < len(s.ivs) && s.ivs[i].lo < end; i++ {
-		lo, hi := s.ivs[i].lo, s.ivs[i].hi
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			sum += hi - lo
-			if visit != nil {
-				visit(s.ivs[i])
-			}
+		if min(s.ivs[i].hi, end) > max(s.ivs[i].lo, start) {
+			fn(s.ivs[i])
 		}
 	}
-	return sum
 }
 
 // RunLatencySpec adapts the harness to the benchmark Spec interface.

@@ -162,3 +162,66 @@ func TestLatencySpecEntryPoint(t *testing.T) {
 		t.Errorf("spec check %#x, want %#x", res.Check, want)
 	}
 }
+
+// TestCoverageOverlapMatchesScan: the coverage-integral overlap equals the
+// naive per-span scan, and spanSet visits exactly the spans that scan finds
+// overlapping, on random span sets mixing nested, zero-length and touching
+// spans, for queries inside, around, across and outside them (empty and
+// inverted ones included).
+func TestCoverageOverlapMatchesScan(t *testing.T) {
+	rng := newRand(7)
+	draw := func(n int64) int64 { return int64(rng.next() % uint64(n)) }
+	for trial := 0; trial < 300; trial++ {
+		var ivs []span
+		for n := draw(30); n > 0; n-- {
+			lo := draw(200)
+			var iv span
+			switch draw(4) {
+			case 0: // zero-length
+				iv = span{lo, lo}
+			case 1: // touching the previous span
+				if len(ivs) > 0 {
+					lo = ivs[len(ivs)-1].hi
+				}
+				iv = span{lo, lo + draw(40)}
+			case 2: // nested in the previous span
+				if len(ivs) > 0 && ivs[len(ivs)-1].hi > ivs[len(ivs)-1].lo {
+					p := ivs[len(ivs)-1]
+					lo = p.lo + draw(p.hi-p.lo)
+					iv = span{lo, lo + draw(p.hi-lo+1)}
+					break
+				}
+				fallthrough
+			default:
+				iv = span{lo, lo + draw(80)}
+			}
+			ivs = append(ivs, iv)
+		}
+		cov := newCoverage(len(ivs))
+		for _, iv := range ivs {
+			cov.add(iv.lo, iv.hi)
+		}
+		cov.build()
+		naive := append([]span(nil), ivs...)
+		set := newSpanSet(ivs)
+		for q := 0; q < 50; q++ {
+			start, end := draw(300)-50, draw(300)-50
+			var want int64
+			var wantSeen int
+			for _, iv := range naive {
+				if lo, hi := max(iv.lo, start), min(iv.hi, end); hi > lo {
+					want += hi - lo
+					wantSeen++
+				}
+			}
+			if got := cov.overlap(start, end); got != want {
+				t.Fatalf("spans %v: overlap [%d, %d) = %d, want %d", naive, start, end, got, want)
+			}
+			seen := 0
+			set.visit(start, end, func(span) { seen++ })
+			if seen != wantSeen {
+				t.Fatalf("spans %v: visited %d spans overlapping [%d, %d), want %d", naive, seen, start, end, wantSeen)
+			}
+		}
+	}
+}

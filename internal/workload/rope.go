@@ -108,7 +108,7 @@ func ropeToInts(vp *core.VProc, a heap.Addr) []uint64 {
 // read and the batched per-element predicate compute. By default the two
 // charges run as inline steps (the hot loop of the NESL-style partition and
 // filter kernels, whose fine interleaving across vprocs otherwise costs a
-// goroutine handoff per charge); the NoStepKernels ablation issues them as
+// coroutine handoff per charge); the NoStepKernels ablation issues them as
 // the two direct Advances. The copy is taken at the read instant because
 // the caller's flushes allocate, which may move the leaf.
 func leafElems(vp *core.VProc, a heap.Addr) []uint64 {

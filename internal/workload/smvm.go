@@ -161,7 +161,7 @@ func smvmRow(vp *core.VProc, env core.Env, r int) {
 // smvmRowStepped is smvmRow with its load sequence — the row-pointer load,
 // the streamed row read, and the per-nonzero spine/block loads against the
 // shared vector — run as a step-function state machine, so the dependent
-// loads of many interleaved vprocs cost inline steps instead of goroutine
+// loads of many interleaved vprocs cost inline steps instead of coroutine
 // handoffs. The charges land at the same virtual instants as the direct
 // version's Advances; the allocating tail stays direct.
 func smvmRowStepped(vp *core.VProc, env core.Env, r int) {

@@ -7,7 +7,7 @@
 //
 // Because Go offers no control over physical page placement or raw heap
 // words, the machine is simulated: a deterministic virtual-time engine runs
-// one goroutine per vproc, every memory operation is charged against an
+// one coroutine per vproc, every memory operation is charged against an
 // explicit NUMA topology model (the paper's 48-core AMD Magny-Cours and
 // 32-core Intel Xeon machines are built in), and heap objects live in
 // simulated regions with the paper's exact header encoding. The collector
